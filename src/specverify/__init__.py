@@ -6,15 +6,13 @@ live observation and triggers replanning when the normalized deviation exceeds
 a threshold. A seeded harness measures the efficiency/robustness trade-off.
 """
 
-from .core import (Action, ActionChunk, ActionSpace, ConfigurationError,
-                   ContractViolation, DeviationScore, Observation,
-                   PlanningContext, ProprioState, l1_distance,
-                   normalize_discrepancy)
+from .core import (ActionSpace, ConfigurationError, ContractViolation,
+                   deviation_score)
 from .controller import (ControllerMode, Decision, EpisodeTrace, LatencyModel,
                          ThresholdConfig, cost_bounds, decide,
                          observed_per_step_cost, run_episode)
 from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
-                  expert_action, is_success, render_observation)
+                  expert_action, is_success, render_observation, transition)
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner
 from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
                        TrainReport, VerifierParams, VerifierSample,

@@ -24,9 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (Action, ActionSpace, ConfigurationError, ContractViolation,
-                   DeviationScore, l1_distance, normalize_discrepancy)
-from .env import TaskSpec, ToyEnv, is_success
+from .core import ActionSpace, ConfigurationError, ContractViolation, deviation_score
+from .env import ToyEnv
 
 
 @dataclass(frozen=True)
@@ -74,17 +73,23 @@ class ControllerMode(str, Enum):
 @dataclass(frozen=True)
 class Decision:
     accept: bool
-    score: DeviationScore
-    step: int
+    score: float  # normalized deviation in [0, 1]
 
 
-def decide(planned: Action, reference: Action, space: ActionSpace, tau: float,
-           step: int = 0) -> Decision:
+def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace,
+           tau: float) -> Decision:
     """Binary execution rule: accept iff the normalized deviation is <= tau."""
     if not (0.0 < tau < 1.0):
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
-    score = normalize_discrepancy(l1_distance(reference, planned), space)
-    return Decision(accept=score.value <= tau, score=score, step=step)
+    score = deviation_score(planned, reference, space)
+    return Decision(accept=score <= tau, score=score)
+
+
+#: EpisodeTrace fields, and LatencyModel fields, written to the summary line.
+_SUMMARY_FIELDS = ("seed", "mode", "chunk_size", "tau", "heavy_calls", "verifier_calls",
+                   "executed_steps", "replans", "guard_hit", "success",
+                   "steps_before_replan", "completed_chunk_lengths")
+_LATENCY_FIELDS = ("t_heavy", "t_verify", "t_ctrl")
 
 
 @dataclass(eq=False)
@@ -112,27 +117,10 @@ class EpisodeTrace:
                 + self.verifier_calls * self.latency.t_verify)
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(r, sort_keys=True) for r in self.records]
-        lines.append(json.dumps({
-            "type": "summary",
-            "seed": self.seed,
-            "mode": self.mode,
-            "chunk_size": self.chunk_size,
-            "tau": self.tau,
-            "t_heavy": self.latency.t_heavy,
-            "t_verify": self.latency.t_verify,
-            "t_ctrl": self.latency.t_ctrl,
-            "heavy_calls": self.heavy_calls,
-            "verifier_calls": self.verifier_calls,
-            "executed_steps": self.executed_steps,
-            "replans": self.replans,
-            "guard_hit": self.guard_hit,
-            "success": self.success,
-            "steps_before_replan": self.steps_before_replan,
-            "completed_chunk_lengths": self.completed_chunk_lengths,
-            "simulated_inference_time": self.simulated_inference_time,
-        }, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        summary = {k: getattr(self, k) for k in _SUMMARY_FIELDS}
+        summary.update({k: getattr(self.latency, k) for k in _LATENCY_FIELDS},
+                       type="summary", simulated_inference_time=self.simulated_inference_time)
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records + [summary])
 
     @classmethod
     def from_jsonl(cls, text: str) -> "EpisodeTrace":
@@ -140,25 +128,8 @@ class EpisodeTrace:
         summary = records[-1]
         if summary.get("type") != "summary":
             raise ValueError("trace file missing summary record")
-        trace = cls(
-            seed=summary["seed"],
-            mode=summary["mode"],
-            chunk_size=summary["chunk_size"],
-            tau=summary["tau"],
-            latency=LatencyModel(t_heavy=summary["t_heavy"],
-                                 t_verify=summary["t_verify"],
-                                 t_ctrl=summary["t_ctrl"]),
-            records=records[:-1],
-            heavy_calls=summary["heavy_calls"],
-            verifier_calls=summary["verifier_calls"],
-            executed_steps=summary["executed_steps"],
-            replans=summary["replans"],
-            guard_hit=summary["guard_hit"],
-            success=summary["success"],
-            steps_before_replan=summary["steps_before_replan"],
-            completed_chunk_lengths=summary["completed_chunk_lengths"],
-        )
-        return trace
+        return cls(latency=LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS}),
+                   records=records[:-1], **{k: summary[k] for k in _SUMMARY_FIELDS})
 
 
 def _state_hash(state) -> str:
@@ -193,25 +164,24 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
     geom = env.geom
     space = geom.action_space()
     horizon = env.config.horizon
-    obs, prop = env.reset()
+    obs = env.reset()
+    goal = env.state.goal_pos
 
-    def execute(action: Action):
-        nonlocal obs, prop
+    def execute(action: np.ndarray):
+        nonlocal obs
         record = {
             "type": "step",
             "step": env.state.step,
             "state_hash": _state_hash(env.state),
-            "action": action.values.tolist(),
+            "action": action.tolist(),
         }
-        obs, prop = env.step(action)
+        obs = env.step(action)
         trace.executed_steps += 1
         trace.records.append(record)
 
-    task = TaskSpec(goal=env.state.goal_pos)
-
     def plan():
         trace.heavy_calls += 1
-        return planner.plan(obs, task, prop, max_len=horizon - env.state.step)
+        return planner.plan(obs, goal, max_len=horizon - env.state.step)
 
     zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
     zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
@@ -220,7 +190,7 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
         while not env.success() and env.state.step < horizon:
             out = plan()
             executed = 0
-            for action in out.chunk.actions:
+            for action in out.chunk:
                 execute(action)
                 executed += 1
                 if env.success() or env.state.step >= horizon:
@@ -228,7 +198,7 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
             trace.completed_chunk_lengths.append(executed)
     elif mode is ControllerMode.VERIFIER_ONLY:
         out = plan()
-        execute(out.chunk.actions[0])
+        execute(out.chunk[0])
         while not env.success() and env.state.step < horizon:
             trace.verifier_calls += 1
             ref = verifier.reference(obs, out.context, true_state=env.state)
@@ -236,7 +206,7 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
     else:  # sv and its input ablations
         while not env.success() and env.state.step < horizon:
             out = plan()
-            execute(out.chunk.actions[0])
+            execute(out.chunk[0])
             executed_in_chunk = 1
             aborted = False
             for i in range(1, len(out.chunk)):
@@ -245,13 +215,12 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
                 trace.verifier_calls += 1
                 ref = verifier.reference(obs, out.context, true_state=env.state,
                                          zero_context=zero_ctx, zero_observation=zero_obs)
-                decision = decide(out.chunk[i], ref, space, threshold.tau,
-                                  step=env.state.step)
+                decision = decide(out.chunk[i], ref, space, threshold.tau)
                 trace.records.append({
                     "type": "decision",
                     "step": env.state.step,
                     "accept": decision.accept,
-                    "score": decision.score.value,
+                    "score": decision.score,
                 })
                 if decision.accept:
                     execute(out.chunk[i])

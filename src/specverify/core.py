@@ -1,10 +1,11 @@
-"""Shared domain types and the pure math primitives used across the package.
+"""Errors, the action box, and the deviation score shared across the package.
 
-Everything here is an immutable value object or a pure function; instances are
-safe to share between threads.
+Vectors inside the episode loop are plain float64 arrays; input is validated
+where it enters the program (config, parameter file, score).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,120 +48,27 @@ class ActionSpace:
             raise ContractViolation("lower must be strictly below upper in every dimension")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        # Sum of per-dimension ranges; the normalizer for deviation scores.
+        object.__setattr__(self, "range_sum", float(np.sum(upper - lower)))
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def range_sum(self) -> float:
-        """Sum of per-dimension ranges; the normalizer for deviation scores."""
-        return float(np.sum(self.upper - self.lower))
-
     def clamp(self, values) -> np.ndarray:
         return np.clip(np.asarray(values, dtype=np.float64), self.lower, self.upper)
 
-    def action(self, values) -> "Action":
-        """Build an Action, clamping out-of-range components into the box."""
-        return Action(values=self.clamp(values))
 
+def deviation_score(planned: np.ndarray, reference: np.ndarray,
+                    space: ActionSpace) -> float:
+    """L1 distance between two actions over the action-space range sum, in [0, 1].
 
-@dataclass(frozen=True, eq=False)
-class Action:
-    """One control vector in environment-native units."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, "action values"))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class ActionChunk:
-    """An ordered K-step plan emitted at one planning boundary."""
-
-    actions: tuple
-    planned_at: int
-
-    def __post_init__(self):
-        actions = tuple(self.actions)
-        if len(actions) < 1:
-            raise ContractViolation("chunk must contain at least one action")
-        dims = {a.dim for a in actions}
-        if len(dims) != 1:
-            raise ContractViolation("chunk actions must share a dimension")
-        object.__setattr__(self, "actions", actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __getitem__(self, i) -> Action:
-        return self.actions[i]
-
-
-@dataclass(frozen=True, eq=False)
-class PlanningContext:
-    """Fixed-width summary vector captured at a planning boundary."""
-
-    vector: np.ndarray
-    planned_at: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _frozen_array(self.vector, "context vector"))
-
-    @property
-    def width(self) -> int:
-        return self.vector.size
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """Feature-vector rendering of the environment state at one step."""
-
-    features: np.ndarray
-    step: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _frozen_array(self.features, "observation features"))
-
-
-@dataclass(frozen=True, eq=False)
-class ProprioState:
-    """Agent-internal state vector (position + gripper flag)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, "proprio values"))
-
-
-@dataclass(frozen=True)
-class DeviationScore:
-    """Normalized L1 discrepancy between planned and reference actions, in [0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ContractViolation(f"deviation score {self.value} outside [0, 1]")
-
-
-def l1_distance(a: Action, b: Action) -> float:
-    """Sum of absolute per-dimension differences between two actions."""
-    if a.dim != b.dim:
-        raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.sum(np.abs(a.values - b.values)))
-
-
-def normalize_discrepancy(raw: float, space: ActionSpace) -> DeviationScore:
-    """Rescale a raw L1 discrepancy into [0, 1] by the total action-space range.
-
-    Values beyond the range sum clamp to 1.
+    Distances beyond the range sum clamp to 1. A non-finite distance (a NaN or
+    infinite entry in either action) raises: clamping it would hide it.
     """
-    if raw < 0:
-        raise ContractViolation("raw discrepancy must be nonnegative")
-    return DeviationScore(value=min(1.0, raw / space.range_sum))
+    if planned.shape != reference.shape:
+        raise ContractViolation(f"dimension mismatch: {reference.shape} vs {planned.shape}")
+    raw = float(np.sum(np.abs(reference - planned)))
+    if not math.isfinite(raw):
+        raise ContractViolation(f"non-finite deviation between {planned} and {reference}")
+    return min(1.0, raw / space.range_sum)

@@ -9,11 +9,11 @@ stream so that toggling one source never shifts the draws of another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Action, ActionSpace, ConfigurationError, Observation, ProprioState
+from .core import ActionSpace, ConfigurationError, ContractViolation
 
 GRIPPER_OPEN = 0
 GRIPPER_HOLDING = 1
@@ -21,21 +21,9 @@ GRIPPER_HOLDING = 1
 #: Layout of the observation feature vector produced by render_observation:
 #: [agent_x, agent_y, object_x, object_y,
 #:  object_x - agent_x, object_y - agent_y, gripper_flag]
-#: The goal position is deliberately absent: it is task knowledge, carried by
-#: the task descriptor given to the planner and by the planning context.
+#: The goal position is deliberately absent: it is task knowledge, handed to
+#: the planner beside each observation and carried by the planning context.
 OBS_DIM = 7
-PROPRIO_DIM = 3
-
-
-@dataclass(frozen=True, eq=False)
-class TaskSpec:
-    """Task descriptor handed to the planner alongside each observation."""
-
-    goal: np.ndarray
-    name: str = "pick-place"
-
-    def __post_init__(self):
-        object.__setattr__(self, "goal", np.asarray(self.goal, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -52,10 +40,11 @@ class Geometry:
             raise ConfigurationError("world_size and step_bound must be positive")
         if self.grasp_radius <= 0 or self.success_radius <= 0:
             raise ConfigurationError("grasp_radius and success_radius must be positive")
+        b = self.step_bound
+        object.__setattr__(self, "_space", ActionSpace(lower=[-b, -b, 0.0], upper=[b, b, 1.0]))
 
     def action_space(self) -> ActionSpace:
-        b = self.step_bound
-        return ActionSpace(lower=[-b, -b, 0.0], upper=[b, b, 1.0])
+        return self._space
 
 
 @dataclass(frozen=True)
@@ -125,31 +114,24 @@ class EnvState:
         return self.gripper == GRIPPER_HOLDING
 
 
-def render_observation(state: EnvState) -> Observation:
+def render_observation(state: EnvState) -> np.ndarray:
     """Deterministic feature-vector rendering of a state (see OBS layout above)."""
-    feats = np.concatenate([
+    return np.concatenate([
         state.agent_pos,
         state.object_pos,
         state.object_pos - state.agent_pos,
         [float(state.gripper)],
     ])
-    return Observation(features=feats, step=state.step)
 
 
-def render_proprio(state: EnvState) -> ProprioState:
-    return ProprioState(values=np.concatenate([state.agent_pos, [float(state.gripper)]]))
-
-
-def state_from_observation(obs: Observation, goal: np.ndarray,
+def state_from_observation(f: np.ndarray, goal: np.ndarray,
                            atol: float = 1e-9) -> EnvState:
     """Reconstruct the full state from an observation vector plus the task goal.
 
+    The observation carries no step counter, so the state starts at step 0.
     Raises ContractViolation when the redundant relative-offset entries do not
     match the absolute positions (i.e. the vector is not a valid rendering).
     """
-    from .core import ContractViolation
-
-    f = obs.features
     if f.size != OBS_DIM:
         raise ContractViolation(f"observation has {f.size} entries, expected {OBS_DIM}")
     agent, obj = f[0:2], f[2:4]
@@ -161,7 +143,7 @@ def state_from_observation(obs: Observation, goal: np.ndarray,
         raise ContractViolation(f"invalid gripper flag {f[6]}")
     if gripper == GRIPPER_HOLDING and not np.allclose(obj, agent, atol=atol):
         raise ContractViolation("holding gripper requires object at agent position")
-    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal, gripper=gripper, step=obs.step)
+    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal, gripper=gripper, step=0)
 
 
 def is_success(state: EnvState, geom: Geometry) -> bool:
@@ -170,7 +152,7 @@ def is_success(state: EnvState, geom: Geometry) -> bool:
     return dist <= geom.success_radius and state.gripper == GRIPPER_OPEN
 
 
-def expert_action(state: EnvState, geom: Geometry) -> Action:
+def expert_action(state: EnvState, geom: Geometry) -> np.ndarray:
     """Phase-appropriate greedy action: approach, grasp, carry, release.
 
     Deterministic function of the state; each movement component is clamped to
@@ -182,30 +164,44 @@ def expert_action(state: EnvState, geom: Geometry) -> Action:
     if state.holding:
         delta = state.goal_pos - state.agent_pos
         if float(np.linalg.norm(delta)) <= geom.success_radius:
-            return space.action([0.0, 0.0, 1.0])  # release
+            return space.clamp([0.0, 0.0, 1.0])  # release
         move = np.clip(delta, -bound, bound)
-        return space.action([move[0], move[1], 0.0])
+        return space.clamp([move[0], move[1], 0.0])
     if is_success(state, geom):
-        return space.action([0.0, 0.0, 0.0])
+        return space.clamp([0.0, 0.0, 0.0])
     delta = state.object_pos - state.agent_pos
     if float(np.linalg.norm(delta)) <= geom.grasp_radius:
-        return space.action([0.0, 0.0, 1.0])  # grasp
+        return space.clamp([0.0, 0.0, 1.0])  # grasp
     move = np.clip(delta, -bound, bound)
-    return space.action([move[0], move[1], 0.0])
+    return space.clamp([move[0], move[1], 0.0])
 
 
-def nominal_step(state: EnvState, action: Action, geom: Geometry) -> EnvState:
-    """Disturbance-free transition; pure function used by the rollout planner."""
-    dx, dy, grasp = action.values
+def transition(state: EnvState, action, geom: Geometry, noise=None,
+               grasp_ok=None, drift=None) -> EnvState:
+    """One control step; without disturbance draws, the nominal dynamics the
+    planner rolls out.
+
+    The environment passes its draws: ``noise`` is added to the move,
+    ``grasp_ok()`` is called only on a grasp attempt within reach (so the grasp
+    stream draws lazily), and a ``drift`` shift moves a free object or
+    dislodges a held one (it slips out of the gripper and lands offset).
+    """
+    dx, dy, grasp = action
+    if noise is not None:
+        dx, dy = dx + noise[0], dy + noise[1]
     agent = np.clip(state.agent_pos + [dx, dy], 0.0, geom.world_size)
     obj = agent.copy() if state.holding else state.object_pos.copy()
     gripper = state.gripper
     if grasp > 0.5:
         if gripper == GRIPPER_HOLDING:
             gripper = GRIPPER_OPEN
-        elif float(np.linalg.norm(agent - obj)) <= geom.grasp_radius:
+        elif (float(np.linalg.norm(agent - obj)) <= geom.grasp_radius
+              and (grasp_ok is None or grasp_ok())):
             gripper = GRIPPER_HOLDING
             obj = agent.copy()
+    if drift is not None:
+        obj = np.clip(obj + drift, 0.0, geom.world_size)
+        gripper = GRIPPER_OPEN
     return EnvState(agent_pos=agent, object_pos=obj, goal_pos=state.goal_pos,
                     gripper=gripper, step=state.step + 1)
 
@@ -241,7 +237,7 @@ class ToyEnv:
         if state is None:
             state = self._sample_initial_state()
         self.state = state
-        return render_observation(state), render_proprio(state)
+        return render_observation(state)
 
     def _sample_initial_state(self) -> EnvState:
         geom = self.geom
@@ -261,45 +257,23 @@ class ToyEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, action: Action):
+    def step(self, action: np.ndarray) -> np.ndarray:
         """Advance one control step, applying configured disturbances."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
-        st = self.state
-        geom = self.geom
         dist = self.config.disturbance
-
-        dx, dy, grasp = action.values
+        noise = drift = None
         if dist.actuation_noise_sigma > 0:
             noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2)
-            dx, dy = dx + noise[0], dy + noise[1]
-        agent = np.clip(st.agent_pos + [dx, dy], 0.0, geom.world_size)
+        if dist.object_drift_prob > 0 and self._rng_drift.uniform() < dist.object_drift_prob:
+            angle = self._rng_drift.uniform(0.0, 2.0 * math.pi)
+            drift = dist.object_drift_magnitude * np.array([math.cos(angle), math.sin(angle)])
+        grasp_ok = self._grasp_succeeds if dist.grasp_failure_prob > 0 else None
+        self.state = transition(self.state, action, self.geom, noise, grasp_ok, drift)
+        return render_observation(self.state)
 
-        obj = agent.copy() if st.holding else st.object_pos.copy()
-        gripper = st.gripper
-        if grasp > 0.5:
-            if gripper == GRIPPER_HOLDING:
-                gripper = GRIPPER_OPEN
-            elif float(np.linalg.norm(agent - obj)) <= geom.grasp_radius:
-                ok = True
-                if dist.grasp_failure_prob > 0:
-                    ok = self._rng_grasp.uniform() >= dist.grasp_failure_prob
-                if ok:
-                    gripper = GRIPPER_HOLDING
-                    obj = agent.copy()
-
-        # Object perturbation: drifts a free object; dislodges a held one
-        # (the object slips out of the gripper and lands offset).
-        if dist.object_drift_prob > 0:
-            if self._rng_drift.uniform() < dist.object_drift_prob:
-                angle = self._rng_drift.uniform(0.0, 2.0 * math.pi)
-                shift = dist.object_drift_magnitude * np.array([math.cos(angle), math.sin(angle)])
-                obj = np.clip(obj + shift, 0.0, geom.world_size)
-                gripper = GRIPPER_OPEN
-
-        self.state = EnvState(agent_pos=agent, object_pos=obj, goal_pos=st.goal_pos,
-                              gripper=gripper, step=st.step + 1)
-        return render_observation(self.state), render_proprio(self.state)
+    def _grasp_succeeds(self) -> bool:
+        return self._rng_grasp.uniform() >= self.config.disturbance.grasp_failure_prob
 
     def success(self) -> bool:
         return self.state is not None and is_success(self.state, self.geom)

@@ -14,11 +14,10 @@ import yaml
 from .controller import (ControllerMode, EpisodeTrace, LatencyModel,
                          ThresholdConfig, run_episode)
 from .core import ConfigurationError
-from .env import (DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv)
+from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
 from .planner import make_planner
 from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
-                       build_training_set, load_verifier, save_verifier,
-                       train_verifier)
+                       build_training_set, load_verifier, train_verifier)
 
 CONFIG_VERSION = 1
 
@@ -117,14 +116,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
-
-
-def _pick(raw: dict, path: str, keys: dict):
-    """Extract known keys from a config section, rejecting unknown ones."""
-    unknown = set(raw) - set(keys)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
-    return {k: raw[k] for k in raw}
 
 
 def _build(section_cls, raw: dict, path: str, converters: dict | None = None):
@@ -231,6 +222,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "grasp_radius": cfg.env.geometry.grasp_radius,
             "success_radius": cfg.env.geometry.success_radius,
             "disturbance": {
+                "level": cfg.env.disturbance_level,
                 "actuation_noise_sigma": cfg.env.disturbance.actuation_noise_sigma,
                 "object_drift_prob": cfg.env.disturbance.object_drift_prob,
                 "object_drift_magnitude": cfg.env.disturbance.object_drift_magnitude,
@@ -310,6 +302,11 @@ def build_verifier(cfg: ExperimentConfig):
     space = geom.action_space()
     if cfg.verifier.params_path:
         encoder, params = load_verifier(cfg.verifier.params_path)
+        widths = (encoder.obs_dim, params.input_width - encoder.width, params.action_dim)
+        if widths != (OBS_DIM, cfg.planner.context_width, space.dim):
+            raise ConfigurationError(
+                f"{cfg.verifier.params_path}: observation/context/action widths {widths} "
+                f"do not fit this config")
         return TrainedVerifier(encoder, params, space)
     report, encoder = train_from_config(cfg)
     return TrainedVerifier(encoder, report.params, space)
@@ -317,8 +314,6 @@ def build_verifier(cfg: ExperimentConfig):
 
 def train_from_config(cfg: ExperimentConfig):
     """Collect a dataset and train verifier parameters per the config."""
-    from .env import OBS_DIM
-
     tcfg = cfg.verifier.training
     disturbance = (DisturbanceConfig.from_level(tcfg.disturbance_level)
                    if tcfg.disturbance_level else cfg.env.disturbance)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionChunk, ConfigurationError, Observation, PlanningContext, ProprioState
-from .env import (EnvState, Geometry, TaskSpec, expert_action, is_success,
-                  nominal_step, state_from_observation)
+from .core import ConfigurationError
+from .env import (EnvState, Geometry, expert_action, is_success,
+                  state_from_observation, transition)
 
 #: Minimum context width: the informative prefix below occupies 12 entries.
 _CONTEXT_BASE_WIDTH = 12
@@ -21,12 +21,8 @@ _CONTEXT_BASE_WIDTH = 12
 
 @dataclass(frozen=True, eq=False)
 class PlannerOutput:
-    chunk: ActionChunk
-    context: PlanningContext
-
-    def __post_init__(self):
-        if self.chunk.planned_at != self.context.planned_at:
-            raise ConfigurationError("chunk and context must share a planning boundary")
+    chunk: np.ndarray    # (length, action_dim), one planned action per row
+    context: np.ndarray  # (context_width,)
 
 
 class NominalRolloutPlanner:
@@ -44,31 +40,23 @@ class NominalRolloutPlanner:
         self.chunk_size = chunk_size
         self.context_width = context_width
 
-    def plan(self, obs: Observation, task: TaskSpec, proprio: ProprioState,
+    def plan(self, obs: np.ndarray, goal: np.ndarray,
              max_len: int | None = None) -> PlannerOutput:
         """Produce a chunk of min(K, max_len) expert actions plus the context.
 
-        The task descriptor supplies the goal position; the toy world has a
-        single task family, so the descriptor carries nothing else.
+        The goal position is the task knowledge the observation lacks; the toy
+        world has a single task family, so the task needs nothing else.
         """
-        from .core import ContractViolation
-
-        state = state_from_observation(obs, task.goal)
-        if not np.allclose(proprio.values[:2], state.agent_pos, atol=1e-9):
-            raise ContractViolation("proprioception disagrees with observation")
-
+        state = state_from_observation(obs, goal)
         length = self.chunk_size if max_len is None else max(1, min(self.chunk_size, max_len))
         actions = []
         rollout = state
         for _ in range(length):
             a = expert_action(rollout, self.geom)
             actions.append(a)
-            rollout = nominal_step(rollout, a, self.geom)
-
-        chunk = ActionChunk(actions=tuple(actions), planned_at=state.step)
-        context = PlanningContext(vector=self._context_vector(state, rollout),
-                                  planned_at=state.step)
-        return PlannerOutput(chunk=chunk, context=context)
+            rollout = transition(rollout, a, self.geom)
+        return PlannerOutput(chunk=np.array(actions),
+                             context=self._context_vector(state, rollout))
 
     def _context_vector(self, start: EnvState, end: EnvState) -> np.ndarray:
         base = np.concatenate([

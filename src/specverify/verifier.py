@@ -9,26 +9,14 @@ mini-batch gradient descent (subgradient 0 at ties).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Action, ActionSpace, ConfigurationError, ContractViolation,
-                   Observation, PlanningContext)
-from .env import (EpisodeConfig, TaskSpec, ToyEnv, expert_action,
-                  render_observation)
+from .core import ActionSpace, ConfigurationError, ContractViolation
+from .env import EpisodeConfig, ToyEnv, expert_action, render_observation
 
 PARAMS_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True, eq=False)
-class VisualFeature:
-    vector: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FusedFeature:
-    vector: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +64,11 @@ class ObservationEncoder:
     def obs_dim(self) -> int:
         return self.weights.shape[1]
 
-    def encode(self, obs: Observation) -> VisualFeature:
-        if obs.features.size != self.obs_dim:
+    def encode(self, obs: np.ndarray) -> np.ndarray:
+        if obs.size != self.obs_dim:
             raise ContractViolation(
-                f"observation width {obs.features.size} != encoder input {self.obs_dim}")
-        return VisualFeature(vector=np.tanh(self.weights @ obs.features + self.bias))
+                f"observation width {obs.size} != encoder input {self.obs_dim}")
+        return np.tanh(self.weights @ obs + self.bias)
 
     def encode_batch(self, obs_matrix: np.ndarray) -> np.ndarray:
         return np.tanh(obs_matrix @ self.weights.T + self.bias)
@@ -136,22 +124,21 @@ class VerifierParams:
         return out
 
 
-def fuse(visual: VisualFeature, context: PlanningContext,
-         params: VerifierParams) -> FusedFeature:
+def fuse(visual: np.ndarray, context: np.ndarray, params: VerifierParams) -> np.ndarray:
     """Concatenate visual and context vectors, apply the fusion layer."""
-    x = np.concatenate([visual.vector, context.vector])
+    x = np.concatenate([visual, context])
     if x.size != params.input_width:
         raise ContractViolation(
             f"fusion input width {x.size} != params width {params.input_width}")
-    return FusedFeature(vector=np.tanh(params.w_fuse @ x + params.b_fuse))
+    return np.tanh(params.w_fuse @ x + params.b_fuse)
 
 
-def predict_reference(fused: FusedFeature, params: VerifierParams,
-                      space: ActionSpace) -> Action:
+def predict_reference(fused: np.ndarray, params: VerifierParams,
+                      space: ActionSpace) -> np.ndarray:
     """Head affine map to a reference action, clamped into the action space."""
-    if fused.vector.size != params.fused_width:
+    if fused.size != params.fused_width:
         raise ContractViolation("fused feature width mismatch")
-    return space.action(params.w_head @ fused.vector + params.b_head)
+    return space.clamp(params.w_head @ fused + params.b_head)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +148,9 @@ def predict_reference(fused: FusedFeature, params: VerifierParams,
 
 @dataclass(frozen=True, eq=False)
 class VerifierSample:
-    observation: Observation
-    context: PlanningContext
-    target: Action
+    observation: np.ndarray
+    context: np.ndarray
+    target: np.ndarray  # expert action at the true state
 
 
 @dataclass(eq=False)
@@ -173,9 +160,9 @@ class TrainReport:
 
 
 def _as_matrices(samples):
-    obs = np.stack([s.observation.features for s in samples])
-    ctx = np.stack([s.context.vector for s in samples])
-    tgt = np.stack([s.target.values for s in samples])
+    obs = np.stack([s.observation for s in samples])
+    ctx = np.stack([s.context for s in samples])
+    tgt = np.stack([s.target for s in samples])
     return obs, ctx, tgt
 
 
@@ -254,12 +241,11 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     samples = []
     for ep in range(episodes):
         env = ToyEnv(config, seed=seed + ep)
-        obs, prop = env.reset()
+        obs = env.reset()
         t = 0
         while t < config.horizon and not env.success():
-            out = planner.plan(obs, TaskSpec(goal=env.state.goal_pos), prop,
-                               max_len=config.horizon - t)
-            for i, action in enumerate(out.chunk.actions):
+            out = planner.plan(obs, env.state.goal_pos, max_len=config.horizon - t)
+            for i, action in enumerate(out.chunk):
                 if env.success():
                     break
                 if i >= 1:
@@ -267,7 +253,7 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
                         observation=render_observation(env.state),
                         context=out.context,
                         target=expert_action(env.state, geom)))
-                obs, prop = env.step(action)
+                obs = env.step(action)
                 t += 1
             if boundaries == "first":
                 break
@@ -288,14 +274,13 @@ class TrainedVerifier:
         self.params = params
         self.space = space
 
-    def reference(self, obs: Observation, context: PlanningContext, true_state=None,
-                  zero_context: bool = False, zero_observation: bool = False) -> Action:
+    def reference(self, obs: np.ndarray, context: np.ndarray, true_state=None,
+                  zero_context: bool = False, zero_observation: bool = False) -> np.ndarray:
         visual = self.encoder.encode(obs)
         if zero_observation:
-            visual = VisualFeature(vector=np.zeros_like(visual.vector))
+            visual = np.zeros_like(visual)
         if zero_context:
-            context = PlanningContext(vector=np.zeros_like(context.vector),
-                                      planned_at=context.planned_at)
+            context = np.zeros_like(context)
         fused = fuse(visual, context, self.params)
         return predict_reference(fused, self.params, self.space)
 
@@ -306,7 +291,7 @@ class OracleVerifier:
     def __init__(self, geometry):
         self.geom = geometry
 
-    def reference(self, obs, context, true_state=None, **_ignored) -> Action:
+    def reference(self, obs, context, true_state=None, **_ignored) -> np.ndarray:
         if true_state is None:
             raise ConfigurationError("oracle verifier needs the true environment state")
         return expert_action(true_state, self.geom)
@@ -338,15 +323,35 @@ def save_verifier(path, encoder: ObservationEncoder, params: VerifierParams) -> 
 
 
 def load_verifier(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != PARAMS_FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported verifier file version {payload.get('version')!r}")
-    encoder = ObservationEncoder(weights=np.asarray(payload["encoder_weights"]),
-                                 bias=np.asarray(payload["encoder_bias"]))
-    params = VerifierParams(w_fuse=np.asarray(payload["w_fuse"]),
-                            b_fuse=np.asarray(payload["b_fuse"]),
-                            w_head=np.asarray(payload["w_head"]),
-                            b_head=np.asarray(payload["b_head"]))
-    return encoder, params
+    """Read encoder + params, checking every array's shape against the header
+    and every value for finiteness; a bad file raises ConfigurationError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read verifier file {path}: {exc}") from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != PARAMS_FORMAT_VERSION:
+        raise ConfigurationError(f"unsupported verifier file version {version!r}")
+    header = [payload.get(k) for k in ("obs_dim", "visual_width", "context_width",
+                                       "hidden_width", "action_dim")]
+    if not all(type(v) is int and v > 0 for v in header):
+        raise ConfigurationError(f"{path}: header widths must be positive integers, got {header}")
+    obs_dim, visual, context, hidden, action = header
+    shapes = {"encoder_weights": (visual, obs_dim), "encoder_bias": (visual,),
+              "w_fuse": (hidden, visual + context), "b_fuse": (hidden,),
+              "w_head": (action, hidden), "b_head": (action,)}
+    arrays = {}
+    for key, shape in shapes.items():
+        try:
+            arr = np.asarray(payload[key], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: {key} is not a numeric array: {exc}") from exc
+        if arr.shape != shape:
+            raise ConfigurationError(f"{path}: {key} has shape {arr.shape}, header says {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError(f"{path}: {key} has non-finite entries")
+        arrays[key] = arr
+    encoder = ObservationEncoder(weights=arrays.pop("encoder_weights"),
+                                 bias=arrays.pop("encoder_bias"))
+    return encoder, VerifierParams(**arrays)

@@ -17,7 +17,7 @@ import pytest
 from specverify.controller import (ControllerMode, LatencyModel,
                                    ThresholdConfig, cost_bounds, decide,
                                    observed_per_step_cost, run_episode)
-from specverify.core import Action, ActionSpace
+from specverify.core import ActionSpace
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
                             ToyEnv)
 from specverify.harness import aggregate, config_from_dict, rows_to_csv, run_batch
@@ -113,23 +113,23 @@ def test_criterion_3_decision_rule_properties():
         lower = rng.uniform(-1.0, 0.0, size=dim)
         upper = lower + rng.uniform(0.1, 2.0, size=dim)
         space = ActionSpace(lower=lower, upper=upper)
-        planned = space.action(rng.uniform(lower - 0.5, upper + 0.5))
-        reference = space.action(rng.uniform(lower - 0.5, upper + 0.5))
+        planned = space.clamp(rng.uniform(lower - 0.5, upper + 0.5))
+        reference = space.clamp(rng.uniform(lower - 0.5, upper + 0.5))
         tau = float(rng.uniform(0.01, 0.99))
 
         d = decide(planned, reference, space, tau)
-        ok = ok and 0.0 <= d.score.value <= 1.0
+        ok = ok and 0.0 <= d.score <= 1.0
 
         # independent scalar re-evaluation with plain Python arithmetic
         raw = sum(abs(float(p) - float(r))
-                  for p, r in zip(planned.values, reference.values))
+                  for p, r in zip(planned, reference))
         span = sum(float(u) - float(l) for l, u in zip(lower, upper))
         expected_accept = min(1.0, raw / span) <= tau
         ok = ok and d.accept == expected_accept
 
         # boundary case: a threshold equal to the score accepts
-        if 0.0 < d.score.value < 1.0:
-            ok = ok and decide(planned, reference, space, d.score.value).accept
+        if 0.0 < d.score < 1.0:
+            ok = ok and decide(planned, reference, space, d.score).accept
 
         # pointwise monotonicity in tau
         tau2 = float(rng.uniform(tau, 0.999))
@@ -158,7 +158,7 @@ def test_criterion_5_gradient_check(geometry):
     planner = NominalRolloutPlanner(geometry, chunk_size=16)
     samples = build_training_set(EpisodeConfig(geometry=geometry), planner,
                                  episodes=4, seed=3)
-    encoder = ObservationEncoder.create(samples[0].observation.features.size,
+    encoder = ObservationEncoder.create(samples[0].observation.size,
                                         64, seed=0)
     obs, ctx, tgt = _as_matrices(samples[:16])
     rng = np.random.default_rng(7)
@@ -195,7 +195,7 @@ def test_criterion_6_training_efficacy(geometry):
     planner = NominalRolloutPlanner(geometry, chunk_size=16)
     samples = build_training_set(EpisodeConfig(geometry=geometry), planner,
                                  episodes=60, seed=3)
-    encoder = ObservationEncoder.create(samples[0].observation.features.size,
+    encoder = ObservationEncoder.create(samples[0].observation.size,
                                         64, seed=0)
     enc_before = (encoder.weights.copy(), encoder.bias.copy())
     rep = train_verifier(samples, encoder, epochs=300, learning_rate=0.02,

@@ -1,6 +1,8 @@
 """End-to-end CLI tests through main() with oracle-verifier configs."""
 import yaml
 
+import pytest
+
 from specverify.cli import main
 from specverify.verifier import load_verifier
 
@@ -11,7 +13,6 @@ def write_config(path, data):
 
 
 def test_help_exits_zero(capsys):
-    import pytest
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -84,3 +85,33 @@ def test_env_var_sets_output_root(tmp_path, monkeypatch):
     })
     assert main(["run", "--config", cfg]) == 0
     assert (tmp_path / "envout" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ("nan", "truncated_row", "header_mismatch", "cut_file"))
+def test_damaged_params_file_exit_code(tmp_path, capsys, params_file, damage):
+    """A bad parameter file is a configuration error (exit 2), never a table
+    of silently rejected decisions."""
+    code = main(["run", "--params", str(params_file(damage)), "--episodes", "2",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_params_file_must_fit_config(tmp_path, capsys, params_file):
+    code = main(["run", "--params", str(params_file(context_width=20)), "--episodes", "2",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "do not fit this config" in capsys.readouterr().err
+
+
+def test_rerun_from_saved_config_keeps_disturbance_level(tmp_path):
+    first = tmp_path / "first"
+    assert main(["run", "--mode", "open-loop", "--disturbance", "moderate",
+                 "--episodes", "3", "--output-dir", str(first)]) == 0
+    second = tmp_path / "second"
+    assert main(["run", "--config", str(first / "config_used.yaml"),
+                 "--output-dir", str(second)]) == 0
+    row = (second / "summary.csv").read_text().splitlines()[1]
+    assert row.split(",")[3] == "moderate"
+    assert (second / "summary.csv").read_text() == (first / "summary.csv").read_text()

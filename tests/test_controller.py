@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.core import Action, ActionSpace, ConfigurationError, ContractViolation
+from specverify.core import ActionSpace, ConfigurationError, ContractViolation
 from specverify.controller import (ControllerMode, EpisodeTrace, LatencyModel,
                                    ThresholdConfig, cost_bounds, decide,
                                    observed_per_step_cost, run_episode)
@@ -22,7 +22,7 @@ class ConstantVerifier:
     component 0.5 is at least 0.5 away from the expert's {0, 1}."""
 
     def reference(self, obs, context, true_state=None, **_ignored):
-        return Action(values=[0.123, -0.117, 0.5])
+        return np.array([0.123, -0.117, 0.5])
 
 
 class TestConfigs:
@@ -50,34 +50,34 @@ class TestConfigs:
 
 class TestDecide:
     def test_identical_actions_accept(self):
-        a = Action(values=[0.1, 0.1, 0.0])
+        a = np.array([0.1, 0.1, 0.0])
         d = decide(a, a, SPACE, tau=0.2)
-        assert d.accept and d.score.value == 0.0
+        assert d.accept and d.score == 0.0
 
     def test_saturated_deviation_rejects(self):
-        planned = Action(values=[0.25, 0.25, 1.0])
-        reference = Action(values=[-0.25, -0.25, 0.0])
+        planned = np.array([0.25, 0.25, 1.0])
+        reference = np.array([-0.25, -0.25, 0.0])
         d = decide(planned, reference, SPACE, tau=0.9)
-        assert d.score.value == 1.0 and not d.accept
+        assert d.score == 1.0 and not d.accept
 
     def test_boundary_score_accepts(self):
         # raw 0.4 over range sum 2.0 is exactly tau = 0.2
-        planned = Action(values=[0.0, 0.0, 0.4])
-        reference = Action(values=[0.0, 0.0, 0.0])
+        planned = np.array([0.0, 0.0, 0.4])
+        reference = np.array([0.0, 0.0, 0.0])
         d = decide(planned, reference, SPACE, tau=0.2)
-        assert d.score.value == pytest.approx(0.2)
+        assert d.score == pytest.approx(0.2)
         assert d.accept
 
     def test_invalid_tau(self):
-        a = Action(values=[0.0, 0.0, 0.0])
+        a = np.zeros(3)
         with pytest.raises(ConfigurationError):
             decide(a, a, SPACE, tau=1.5)
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(-0.25, 0.25), min_size=2, max_size=2), st.data())
     def test_pointwise_tau_monotonicity(self, move, data):
-        planned = SPACE.action(move + [data.draw(st.floats(0, 1))])
-        reference = SPACE.action(
+        planned = SPACE.clamp(move + [data.draw(st.floats(0, 1))])
+        reference = SPACE.clamp(
             [data.draw(st.floats(-0.25, 0.25)) for _ in range(2)]
             + [data.draw(st.floats(0, 1))])
         t1 = data.draw(st.floats(0.01, 0.98))

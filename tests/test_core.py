@@ -1,16 +1,28 @@
-"""Unit and property tests for the shared domain types and math primitives."""
+"""Unit and property tests for the action box and the deviation score."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.core import (Action, ActionChunk, ActionSpace, ContractViolation,
-                             DeviationScore, Observation, PlanningContext,
-                             l1_distance, normalize_discrepancy)
+from specverify.core import ActionSpace, ContractViolation, deviation_score
+from specverify.env import EnvState, Geometry, render_observation
+from specverify.planner import NominalRolloutPlanner
 
 
 def unit_space(dim=3):
     return ActionSpace(lower=[0.0] * dim, upper=[1.0] * dim)
+
+
+def wide_space(dim):
+    """A box whose range sum (200 per dimension) keeps test distances below the clamp."""
+    return ActionSpace(lower=[-100.0] * dim, upper=[100.0] * dim)
+
+
+def plan_once(max_len=None):
+    state = EnvState(agent_pos=[0.2, 0.2], object_pos=[1.0, 1.0],
+                     goal_pos=[1.8, 1.8], gripper=0, step=0)
+    planner = NominalRolloutPlanner(Geometry(), chunk_size=4, context_width=16)
+    return planner.plan(render_observation(state), state.goal_pos, max_len=max_len)
 
 
 class TestActionSpace:
@@ -32,9 +44,9 @@ class TestActionSpace:
             ActionSpace(lower=[0.0, np.nan], upper=[1.0, 1.0])
 
     def test_clamp_and_action_factory(self):
+        """Clamping is how actions are built: out-of-box components land on the box."""
         space = unit_space(2)
-        a = space.action([-5.0, 0.3])
-        assert a.values.tolist() == [0.0, 0.3]
+        assert space.clamp([-5.0, 0.3]).tolist() == [0.0, 0.3]
         assert np.all(space.clamp([2.0, -2.0]) == [1.0, 0.0])
 
     def test_arrays_are_read_only(self):
@@ -44,91 +56,102 @@ class TestActionSpace:
 
 
 class TestValueObjects:
+    """Actions are 1-D arrays in a 1-D box; planner output is a (length, dim)
+    chunk and a context vector."""
+
     def test_action_requires_vector(self):
         with pytest.raises(ContractViolation):
-            Action(values=[[1.0, 2.0]])
-
-    def test_chunk_requires_uniform_dim(self):
+            ActionSpace(lower=[[0.0, 0.0]], upper=[[1.0, 1.0]])
         with pytest.raises(ContractViolation):
-            ActionChunk(actions=(Action(values=[1.0]), Action(values=[1.0, 2.0])),
-                        planned_at=0)
+            deviation_score(np.zeros((1, 3)), np.zeros(3), unit_space())
 
     def test_chunk_requires_nonempty(self):
-        with pytest.raises(ContractViolation):
-            ActionChunk(actions=(), planned_at=0)
+        assert len(plan_once(max_len=0).chunk) == 1
 
     def test_chunk_indexing(self):
-        chunk = ActionChunk(actions=(Action(values=[1.0]), Action(values=[2.0])),
-                            planned_at=5)
-        assert len(chunk) == 2
-        assert chunk[1].values[0] == 2.0
-        assert chunk.planned_at == 5
+        out = plan_once()
+        assert len(out.chunk) == 4 and out.chunk.shape == (4, 3)
+        assert out.chunk[0].tolist() == [0.25, 0.25, 0.0]  # toward the object
 
     def test_context_width(self):
-        assert PlanningContext(vector=np.zeros(16), planned_at=0).width == 16
-
-    def test_observation_rejects_nan(self):
-        with pytest.raises(ContractViolation):
-            Observation(features=[np.inf], step=0)
+        assert plan_once().context.shape == (16,)
 
     def test_deviation_score_bounds(self):
-        DeviationScore(value=0.0)
-        DeviationScore(value=1.0)
-        with pytest.raises(ContractViolation):
-            DeviationScore(value=1.0001)
-        with pytest.raises(ContractViolation):
-            DeviationScore(value=-0.0001)
+        space = unit_space()
+        assert deviation_score(np.zeros(3), np.zeros(3), space) == 0.0
+        assert deviation_score(np.zeros(3), np.ones(3), space) == 1.0
+        assert deviation_score(np.zeros(3), np.full(3, 5.0), space) == 1.0
 
 
 class TestL1Distance:
+    """deviation_score is the L1 distance over the range sum; in a wide box the
+    clamp never binds, so it keeps the metric properties."""
+
     def test_known_value(self):
-        a = Action(values=[0.0, 0.5, 1.0])
-        b = Action(values=[0.25, 0.5, 0.0])
-        assert l1_distance(a, b) == pytest.approx(1.25)
+        a = np.array([0.0, 0.5, 1.0])
+        b = np.array([0.25, 0.5, 0.0])
+        assert deviation_score(a, b, unit_space()) == pytest.approx(1.25 / 3.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            l1_distance(Action(values=[0.0]), Action(values=[0.0, 1.0]))
+            deviation_score(np.array([0.0]), np.array([0.0, 1.0]), unit_space(2))
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
            st.data())
     def test_symmetry_and_identity(self, xs, data):
         ys = data.draw(st.lists(st.floats(-10, 10), min_size=len(xs),
                                 max_size=len(xs)))
-        a, b = Action(values=xs), Action(values=ys)
-        assert l1_distance(a, b) == l1_distance(b, a)
-        assert l1_distance(a, a) == 0.0
-        assert l1_distance(a, b) >= 0.0
+        a, b = np.array(xs), np.array(ys)
+        space = wide_space(len(xs))
+        assert deviation_score(a, b, space) == deviation_score(b, a, space)
+        assert deviation_score(a, a, space) == 0.0
+        assert deviation_score(a, b, space) >= 0.0
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=4), st.data())
     def test_triangle_inequality(self, xs, data):
         n = len(xs)
         ys = data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
         zs = data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
-        a, b, c = Action(values=xs), Action(values=ys), Action(values=zs)
-        assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-9
+        a, b, c = np.array(xs), np.array(ys), np.array(zs)
+        space = wide_space(n)
+        assert (deviation_score(a, c, space)
+                <= deviation_score(a, b, space) + deviation_score(b, c, space) + 1e-9)
 
 
 class TestNormalizeDiscrepancy:
+    """The raw L1 distance is normalized by the action-space range sum."""
+
     def test_exact_fraction(self):
         space = ActionSpace(lower=[-0.25, -0.25, 0.0], upper=[0.25, 0.25, 1.0])
-        assert normalize_discrepancy(1.0, space).value == pytest.approx(0.5)
+        planned = np.array([0.25, 0.0, 0.5])
+        reference = np.array([0.0, 0.0, 0.0])
+        assert deviation_score(planned, reference, space) == pytest.approx(0.375)
+        assert deviation_score(np.array([0.0, 0.0, 1.0]), reference, space) == pytest.approx(0.5)
 
     def test_clamps_to_one(self):
-        assert normalize_discrepancy(99.0, unit_space()).value == 1.0
+        assert deviation_score(np.full(3, 99.0), np.zeros(3), unit_space()) == 1.0
 
     def test_zero(self):
-        assert normalize_discrepancy(0.0, unit_space()).value == 0.0
+        assert deviation_score(np.full(3, 0.5), np.full(3, 0.5), unit_space()) == 0.0
 
-    def test_rejects_negative(self):
-        with pytest.raises(ContractViolation):
-            normalize_discrepancy(-0.1, unit_space())
+    def test_rejects_nonfinite(self):
+        """min(1.0, nan) is 1.0, so a NaN distance would silently read as a
+        full deviation; it raises instead."""
+        for bad in (np.nan, np.inf, -np.inf):
+            planned = np.array([0.0, bad, 0.0])
+            with pytest.raises(ContractViolation):
+                deviation_score(planned, np.zeros(3), unit_space())
+            with pytest.raises(ContractViolation):
+                deviation_score(np.zeros(3), planned, unit_space())
 
     @settings(max_examples=200)
     @given(st.floats(0, 100), st.integers(1, 6))
     def test_range_and_monotonicity(self, raw, dim):
         space = unit_space(dim)
-        score = normalize_discrepancy(raw, space).value
+        zero = np.zeros(dim)
+        moved = np.zeros(dim)
+        moved[0] = raw
+        score = deviation_score(moved, zero, space)
         assert 0.0 <= score <= 1.0
-        bigger = normalize_discrepancy(raw * 2 + 0.1, space).value
-        assert bigger >= score
+        moved[0] = raw * 2 + 0.1
+        assert deviation_score(moved, zero, space) >= score

@@ -6,8 +6,8 @@ from specverify.core import ConfigurationError, ContractViolation
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, OBS_DIM,
                             DisturbanceConfig, EnvState, EpisodeConfig,
                             Geometry, ToyEnv, expert_action, is_success,
-                            nominal_step, render_observation, render_proprio,
-                            state_from_observation)
+                            render_observation, state_from_observation,
+                            transition)
 
 
 def make_state(agent, obj, goal, gripper=GRIPPER_OPEN, step=0):
@@ -44,37 +44,27 @@ class TestObservation:
     def test_layout(self, geometry):
         state = make_state([0.5, 0.25], [1.0, 1.5], [0.1, 0.2])
         obs = render_observation(state)
-        assert obs.features.size == OBS_DIM
-        np.testing.assert_allclose(
-            obs.features, [0.5, 0.25, 1.0, 1.5, 0.5, 1.25, 0.0])
+        assert obs.shape == (OBS_DIM,)
+        np.testing.assert_allclose(obs, [0.5, 0.25, 1.0, 1.5, 0.5, 1.25, 0.0])
 
     def test_goal_not_observable(self):
         """Two states differing only in goal render to identical observations."""
         s1 = make_state([0.5, 0.5], [1.0, 1.0], [0.2, 0.2])
         s2 = make_state([0.5, 0.5], [1.0, 1.0], [1.8, 1.8])
-        np.testing.assert_array_equal(render_observation(s1).features,
-                                      render_observation(s2).features)
+        np.testing.assert_array_equal(render_observation(s1), render_observation(s2))
 
     def test_round_trip(self):
         state = make_state([0.5, 0.25], [1.0, 1.5], [0.1, 0.2], step=7)
         back = state_from_observation(render_observation(state), state.goal_pos)
         np.testing.assert_array_equal(back.agent_pos, state.agent_pos)
         np.testing.assert_array_equal(back.object_pos, state.object_pos)
-        assert back.gripper == state.gripper and back.step == 7
+        assert back.gripper == state.gripper
 
     def test_inconsistent_offsets_rejected(self):
-        obs = render_observation(make_state([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
-        broken = obs.features.copy()
+        broken = render_observation(make_state([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
         broken[4] += 0.5
-        from specverify.core import Observation
         with pytest.raises(ContractViolation):
-            state_from_observation(Observation(features=broken, step=0), [0.0, 0.0])
-
-    def test_proprio(self):
-        p = render_proprio(make_state([0.3, 0.4], [1.0, 1.0], [0.0, 0.0],
-                                      gripper=GRIPPER_HOLDING))
-        # holding implies the object rides with the agent, so pass obj = agent
-        np.testing.assert_allclose(p.values, [0.3, 0.4, 1.0])
+            state_from_observation(broken, [0.0, 0.0])
 
 
 class TestSuccessAndExpert:
@@ -93,25 +83,25 @@ class TestSuccessAndExpert:
     def test_expert_phases(self, geometry):
         far = make_state([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
         a = expert_action(far, geometry)
-        np.testing.assert_allclose(a.values, [0.25, 0.0, 0.0])
+        np.testing.assert_allclose(a, [0.25, 0.0, 0.0])
 
         at_object = make_state([1.0, 0.0], [1.0, 0.0], [2.0, 0.0])
-        np.testing.assert_allclose(expert_action(at_object, geometry).values,
+        np.testing.assert_allclose(expert_action(at_object, geometry),
                                    [0.0, 0.0, 1.0])
 
         carrying = make_state([1.0, 0.0], [1.0, 0.0], [2.0, 0.0],
                               gripper=GRIPPER_HOLDING)
-        np.testing.assert_allclose(expert_action(carrying, geometry).values,
+        np.testing.assert_allclose(expert_action(carrying, geometry),
                                    [0.25, 0.0, 0.0])
 
         at_goal = make_state([2.0, 0.0], [2.0, 0.0], [2.0, 0.0],
                              gripper=GRIPPER_HOLDING)
-        np.testing.assert_allclose(expert_action(at_goal, geometry).values,
+        np.testing.assert_allclose(expert_action(at_goal, geometry),
                                    [0.0, 0.0, 1.0])
 
     def test_expert_noop_after_success(self, geometry):
         done = make_state([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-        np.testing.assert_allclose(expert_action(done, geometry).values,
+        np.testing.assert_allclose(expert_action(done, geometry),
                                    [0.0, 0.0, 0.0])
 
     def test_expert_completes_every_clean_episode(self):
@@ -131,12 +121,14 @@ class TestSuccessAndExpert:
 
 class TestDynamics:
     def test_nominal_step_matches_clean_env(self):
+        """transition without disturbance draws is the nominal step the planner
+        rolls out; a disturbance-free env follows it exactly."""
         cfg = EpisodeConfig(horizon=40)
         env = ToyEnv(cfg, seed=11)
         env.reset()
         for _ in range(15):
             a = expert_action(env.state, env.geom)
-            predicted = nominal_step(env.state, a, env.geom)
+            predicted = transition(env.state, a, env.geom)
             env.step(a)
             np.testing.assert_allclose(env.state.agent_pos, predicted.agent_pos)
             np.testing.assert_allclose(env.state.object_pos, predicted.object_pos)
@@ -145,26 +137,48 @@ class TestDynamics:
     def test_held_object_moves_with_agent(self, geometry):
         state = make_state([0.5, 0.5], [0.5, 0.5], [1.5, 1.5],
                            gripper=GRIPPER_HOLDING)
-        nxt = nominal_step(state, geometry.action_space().action([0.2, 0.1, 0.0]),
-                           geometry)
+        nxt = transition(state, np.array([0.2, 0.1, 0.0]), geometry)
         np.testing.assert_allclose(nxt.object_pos, nxt.agent_pos)
 
     def test_grasp_requires_proximity(self, geometry):
         state = make_state([0.5, 0.5], [1.0, 0.5], [1.5, 1.5])
-        nxt = nominal_step(state, geometry.action_space().action([0.0, 0.0, 1.0]),
-                           geometry)
+        nxt = transition(state, np.array([0.0, 0.0, 1.0]), geometry)
         assert nxt.gripper == GRIPPER_OPEN
 
     def test_world_bounds_clip(self, geometry):
         state = make_state([0.0, 0.0], [1.0, 1.0], [1.5, 1.5])
-        nxt = nominal_step(state, geometry.action_space().action([-0.25, -0.25, 0.0]),
-                           geometry)
+        nxt = transition(state, np.array([-0.25, -0.25, 0.0]), geometry)
         np.testing.assert_allclose(nxt.agent_pos, [0.0, 0.0])
+
+    def test_grasp_draw_only_on_attempt_within_reach(self, geometry):
+        """The grasp stream draws lazily: grasp_ok runs only when a grasp is
+        attempted within reach, and a failed draw leaves the gripper open."""
+        calls = []
+
+        def grasp_ok():
+            calls.append(True)
+            return False
+
+        far = make_state([0.5, 0.5], [1.0, 0.5], [1.5, 1.5])
+        near = make_state([1.0, 0.5], [1.0, 0.5], [1.5, 1.5])
+        transition(far, np.array([0.0, 0.0, 1.0]), geometry, grasp_ok=grasp_ok)
+        transition(near, np.array([0.1, 0.0, 0.0]), geometry, grasp_ok=grasp_ok)
+        assert calls == []
+        nxt = transition(near, np.array([0.0, 0.0, 1.0]), geometry, grasp_ok=grasp_ok)
+        assert calls == [True] and nxt.gripper == GRIPPER_OPEN
+
+    def test_noise_and_drift_draws(self, geometry):
+        held = make_state([0.5, 0.5], [0.5, 0.5], [1.5, 1.5], gripper=GRIPPER_HOLDING)
+        nxt = transition(held, np.array([0.1, 0.0, 0.0]), geometry,
+                         noise=np.array([0.05, -0.05]), drift=np.array([0.0, 0.25]))
+        np.testing.assert_allclose(nxt.agent_pos, [0.65, 0.45])
+        np.testing.assert_allclose(nxt.object_pos, [0.65, 0.7])
+        assert nxt.gripper == GRIPPER_OPEN
 
     def test_step_before_reset_raises(self):
         env = ToyEnv(EpisodeConfig(), seed=0)
         with pytest.raises(RuntimeError):
-            env.step(env.geom.action_space().action([0.0, 0.0, 0.0]))
+            env.step(np.zeros(3))
 
 
 class TestSeededStreams:
@@ -202,12 +216,11 @@ class TestSeededStreams:
                 object_drift_magnitude=0.2))
             env = ToyEnv(cfg, seed=77)
             env.reset()
-            space = env.geom.action_space()
             events = []
             for t in range(25):
                 before = env.state.object_pos.copy()
                 held = env.state.holding
-                env.step(space.action([0.0, 0.0, 0.0]))
+                env.step(np.zeros(3))
                 if not held and not np.allclose(env.state.object_pos, before):
                     events.append(t)
             return events
@@ -220,7 +233,7 @@ class TestSeededStreams:
         env = ToyEnv(cfg, seed=5)
         env.reset(make_state([0.5, 0.5], [0.5, 0.5], [1.5, 1.5],
                              gripper=GRIPPER_HOLDING))
-        env.step(env.geom.action_space().action([0.0, 0.0, 0.0]))
+        env.step(np.zeros(3))
         assert env.state.gripper == GRIPPER_OPEN
         assert np.linalg.norm(env.state.object_pos - env.state.agent_pos) > 0.1
 

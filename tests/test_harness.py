@@ -72,6 +72,8 @@ class TestConfig:
         path = tmp_path / "cfg.yaml"
         save_config(cfg, path)
         again = load_config(path)
+        assert again == cfg
+        assert again.env.disturbance_level == "moderate"
         assert config_to_dict(again) == config_to_dict(cfg)
 
 

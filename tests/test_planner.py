@@ -2,16 +2,14 @@
 import numpy as np
 import pytest
 
-from specverify.core import ConfigurationError, ContractViolation
+from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
-                            TaskSpec, ToyEnv, nominal_step, render_observation,
-                            render_proprio)
+                            ToyEnv, render_observation, transition)
 from specverify.planner import NominalRolloutPlanner, make_planner
 
 
 def plan_from(planner, state):
-    return planner.plan(render_observation(state), TaskSpec(goal=state.goal_pos),
-                        render_proprio(state))
+    return planner.plan(render_observation(state), state.goal_pos)
 
 
 class TestConstruction:
@@ -39,15 +37,13 @@ class TestPlanning:
                          goal_pos=[1.8, 1.8], gripper=0, step=3)
         out = plan_from(planner, state)
         assert len(out.chunk) == 6
-        assert out.chunk.planned_at == 3
-        assert out.context.planned_at == 3
+        assert out.chunk.shape == (6, 3)
 
     def test_max_len_truncates(self, geometry):
         planner = NominalRolloutPlanner(geometry, chunk_size=16)
         state = EnvState(agent_pos=[0.2, 0.2], object_pos=[1.0, 1.0],
                          goal_pos=[1.8, 1.8], gripper=0, step=0)
-        out = planner.plan(render_observation(state), TaskSpec(goal=state.goal_pos),
-                           render_proprio(state), max_len=5)
+        out = planner.plan(render_observation(state), state.goal_pos, max_len=5)
         assert len(out.chunk) == 5
 
     def test_prefix_consistency(self, geometry):
@@ -56,8 +52,7 @@ class TestPlanning:
                          goal_pos=[1.7, 1.6], gripper=0, step=0)
         short = plan_from(NominalRolloutPlanner(geometry, chunk_size=4), state)
         long = plan_from(NominalRolloutPlanner(geometry, chunk_size=10), state)
-        for a, b in zip(short.chunk.actions, long.chunk.actions):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(short.chunk, long.chunk[:4])
 
     def test_open_loop_chunk_solves_clean_episode(self, geometry):
         """Executing the planned chunk under nominal dynamics lands the rollout
@@ -68,9 +63,9 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geometry, chunk_size=40)
         out = plan_from(planner, env.state)
         rollout = env.state
-        for a in out.chunk.actions:
+        for a in out.chunk:
             env.step(a)
-            rollout = nominal_step(rollout, a, geometry)
+            rollout = transition(rollout, a, geometry)
             np.testing.assert_allclose(env.state.agent_pos, rollout.agent_pos)
         assert env.success()
 
@@ -78,7 +73,7 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geometry, chunk_size=4, context_width=16)
         state = EnvState(agent_pos=[0.3, 0.4], object_pos=[1.1, 0.9],
                          goal_pos=[1.7, 1.6], gripper=0, step=0)
-        vec = plan_from(planner, state).context.vector
+        vec = plan_from(planner, state).context
         assert vec.size == 16
         np.testing.assert_allclose(vec[0:2], state.goal_pos)
         np.testing.assert_allclose(vec[2:4], state.object_pos)
@@ -92,15 +87,6 @@ class TestPlanning:
         state = EnvState(agent_pos=[0.0, 1.0], object_pos=[0.0, 1.0],
                          goal_pos=[1.0, 1.0], gripper=GRIPPER_HOLDING, step=0)
         out = plan_from(planner, state)
-        moves = [a.values.tolist() for a in out.chunk.actions]
+        moves = out.chunk.tolist()
         assert moves == [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0],
                          [0.25, 0.0, 0.0], [0.0, 0.0, 1.0]]
-
-    def test_proprio_disagreement_rejected(self, geometry):
-        from specverify.core import ProprioState
-        planner = NominalRolloutPlanner(geometry, chunk_size=4)
-        state = EnvState(agent_pos=[0.3, 0.4], object_pos=[1.1, 0.9],
-                        goal_pos=[1.7, 1.6], gripper=0, step=0)
-        with pytest.raises(ContractViolation):
-            planner.plan(render_observation(state), TaskSpec(goal=state.goal_pos),
-                         ProprioState(values=[0.9, 0.9, 0.0]))

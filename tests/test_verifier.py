@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from specverify.core import (ConfigurationError, ContractViolation, Observation,
-                             PlanningContext)
+from specverify.core import ConfigurationError, ContractViolation
 from specverify.env import OBS_DIM, EpisodeConfig, Geometry
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  TrainedVerifier, VerifierParams,
-                                 VerifierSample, VisualFeature, _as_matrices,
+                                 VerifierSample, _as_matrices,
                                  build_training_set, fuse, load_verifier,
                                  loss_and_grads, predict_reference,
                                  save_verifier, train_verifier)
@@ -50,9 +49,9 @@ class TestEncoder:
                 row += 1
 
     def test_encode_bounded_and_deterministic(self, encoder):
-        obs = Observation(features=np.linspace(0, 2, OBS_DIM), step=0)
-        v1 = encoder.encode(obs).vector
-        v2 = encoder.encode(obs).vector
+        obs = np.linspace(0, 2, OBS_DIM)
+        v1 = encoder.encode(obs)
+        v2 = encoder.encode(obs)
         np.testing.assert_array_equal(v1, v2)
         assert np.all(np.abs(v1) <= 1.0)
 
@@ -61,12 +60,11 @@ class TestEncoder:
         obs_matrix = rng.uniform(0, 2, size=(5, OBS_DIM))
         batch = encoder.encode_batch(obs_matrix)
         for i in range(5):
-            single = encoder.encode(Observation(features=obs_matrix[i], step=0))
-            np.testing.assert_allclose(batch[i], single.vector)
+            np.testing.assert_allclose(batch[i], encoder.encode(obs_matrix[i]))
 
     def test_dimension_mismatch(self, encoder):
         with pytest.raises(ContractViolation):
-            encoder.encode(Observation(features=np.zeros(OBS_DIM + 1), step=0))
+            encoder.encode(np.zeros(OBS_DIM + 1))
 
     def test_same_seed_same_encoder(self):
         a = ObservationEncoder.create(OBS_DIM, 64, seed=9)
@@ -78,27 +76,23 @@ class TestEncoder:
 class TestForward:
     def test_fuse_and_predict_shapes(self, encoder, geometry):
         params = VerifierParams.create(encoder.width, 16, 32, 3, seed=1)
-        visual = encoder.encode(Observation(features=np.zeros(OBS_DIM), step=0))
-        ctx = PlanningContext(vector=np.zeros(16), planned_at=0)
-        fused = fuse(visual, ctx, params)
-        assert fused.vector.size == 32
+        visual = encoder.encode(np.zeros(OBS_DIM))
+        fused = fuse(visual, np.zeros(16), params)
+        assert fused.shape == (32,)
         action = predict_reference(fused, params, geometry.action_space())
-        assert action.dim == 3
+        assert action.shape == (3,)
 
     def test_prediction_clamped_to_space(self, geometry):
         space = geometry.action_space()
         params = VerifierParams.create(4, 4, 8, 3, seed=1)
         params.b_head[:] = [99.0, -99.0, 99.0]
-        from specverify.verifier import FusedFeature
-        action = predict_reference(FusedFeature(vector=np.zeros(8)), params, space)
-        np.testing.assert_allclose(action.values, [0.25, -0.25, 1.0])
+        action = predict_reference(np.zeros(8), params, space)
+        np.testing.assert_allclose(action, [0.25, -0.25, 1.0])
 
     def test_fuse_width_mismatch(self, encoder):
         params = VerifierParams.create(encoder.width, 16, 32, 3, seed=1)
-        ctx = PlanningContext(vector=np.zeros(20), planned_at=0)
-        visual = VisualFeature(vector=np.zeros(encoder.width))
         with pytest.raises(ContractViolation):
-            fuse(visual, ctx, params)
+            fuse(np.zeros(encoder.width), np.zeros(20), params)
 
 
 class TestDataset:
@@ -135,8 +129,8 @@ class TestDataset:
 
     def test_targets_are_expert_actions(self, geometry, clean_samples):
         for s in clean_samples[:40]:
-            assert s.target.dim == 3
-            assert np.all(np.abs(s.target.values[:2]) <= geometry.step_bound)
+            assert s.target.shape == (3,)
+            assert np.all(np.abs(s.target[:2]) <= geometry.step_bound)
 
 
 class TestTraining:
@@ -211,13 +205,13 @@ class TestInferencePolicies:
     def test_trained_verifier_ablation_switches(self, encoder, geometry):
         params = VerifierParams.create(encoder.width, 16, 16, 3, seed=1)
         ver = TrainedVerifier(encoder, params, geometry.action_space())
-        obs = Observation(features=np.linspace(0, 1, OBS_DIM), step=0)
-        ctx = PlanningContext(vector=np.linspace(0, 1, 16), planned_at=0)
+        obs = np.linspace(0, 1, OBS_DIM)
+        ctx = np.linspace(0, 1, 16)
         full = ver.reference(obs, ctx)
         no_ctx = ver.reference(obs, ctx, zero_context=True)
         no_obs = ver.reference(obs, ctx, zero_observation=True)
-        assert not np.array_equal(full.values, no_ctx.values)
-        assert not np.array_equal(full.values, no_obs.values)
+        assert not np.array_equal(full, no_ctx)
+        assert not np.array_equal(full, no_obs)
 
     def test_oracle_requires_state(self, geometry):
         with pytest.raises(ConfigurationError):
@@ -233,6 +227,15 @@ class TestPersistence:
         np.testing.assert_array_equal(enc2.weights, encoder.weights)
         np.testing.assert_array_equal(enc2.bias, encoder.bias)
         np.testing.assert_array_equal(params2.flat(), params.flat())
+
+    @pytest.mark.parametrize("damage", ("nan", "truncated_row", "header_mismatch",
+                                        "cut_file", "missing_array"))
+    def test_damaged_file_rejected(self, params_file, damage):
+        """Every array is checked against the header widths and for finite
+        values, so a bad file fails at load instead of mid-episode."""
+        load_verifier(params_file())
+        with pytest.raises(ConfigurationError):
+            load_verifier(params_file(damage))
 
     def test_version_check(self, tmp_path, encoder):
         params = VerifierParams.create(encoder.width, 16, 24, 3, seed=6)
