@@ -7,9 +7,11 @@ changes a check: say which one changed and why in CHANGES.md.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
-from specverify.harness import config_from_dict, run_batch, write_traces
+from specverify.harness import (config_from_dict, run_batch, train_from_config,
+                                write_traces)
 from specverify.verifier import save_verifier
 
 MODES = ("sv", "open-loop", "verifier-only", "sv-without-context",
@@ -94,6 +96,11 @@ TRAINED_DIGESTS = {
 VERIFIER_JSON_DIGEST = (
     "e7170909b92efdd44e1479331d98f8e1366f3263e1b95e86a580aa2d1d13ed3d")
 
+#: float64 bytes of ``TrainReport.losses`` from a short moderate-disturbance
+#: training run (20 episodes, 40 epochs).
+LOSS_CURVE_DIGEST = (
+    "729d4e920ca46e3e541097e999280064eaf20759f9b913c63507977abaaa8758")
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -127,3 +134,12 @@ def test_trained_parameter_file_digest(tmp_path, trained_verifier):
     path = tmp_path / "verifier.json"
     save_verifier(path, trained_verifier.encoder, trained_verifier.params)
     assert sha256(path) == VERIFIER_JSON_DIGEST
+
+
+def test_loss_curve_digest():
+    cfg = config_from_dict({"env": {"disturbance": {"level": "moderate"}},
+                            "verifier": {"training": {"episodes": 20, "epochs": 40}}})
+    report, _ = train_from_config(cfg)
+    assert len(report.losses) == 41
+    losses = np.asarray(report.losses, dtype=np.float64)
+    assert hashlib.sha256(losses.tobytes()).hexdigest() == LOSS_CURVE_DIGEST
