@@ -166,17 +166,19 @@ def _as_matrices(samples):
     return obs, ctx, tgt
 
 
-def loss_and_grads(params: VerifierParams, encoder: ObservationEncoder,
-                   obs: np.ndarray, ctx: np.ndarray, tgt: np.ndarray):
+def _forward(params: VerifierParams, x: np.ndarray, tgt: np.ndarray, out=None):
+    """Hidden layer (into ``out`` if given), prediction error and mean L1 loss."""
+    z = np.matmul(x, params.w_fuse.T, out=out)
+    z += params.b_fuse
+    np.tanh(z, out=z)
+    diff = z @ params.w_head.T + params.b_head - tgt
+    return z, diff, float(np.abs(diff).sum() / x.shape[0])
+
+
+def loss_and_grads(params: VerifierParams, x: np.ndarray, tgt: np.ndarray):
     """Mean per-sample L1 loss and analytic gradients (tie subgradient 0)."""
-    n = obs.shape[0]
-    e = encoder.encode_batch(obs)
-    x = np.concatenate([e, ctx], axis=1)
-    z = np.tanh(x @ params.w_fuse.T + params.b_fuse)
-    pred = z @ params.w_head.T + params.b_head
-    diff = pred - tgt
-    loss = float(np.abs(diff).sum() / n)
-    g = np.sign(diff) / n
+    z, diff, loss = _forward(params, x, tgt)
+    g = np.sign(diff) / x.shape[0]
     d_w_head = g.T @ z
     d_b_head = g.sum(axis=0)
     dz = g @ params.w_head
@@ -187,10 +189,10 @@ def loss_and_grads(params: VerifierParams, encoder: ObservationEncoder,
     return loss, grads
 
 
-def mean_l1_loss(params: VerifierParams, encoder: ObservationEncoder,
-                 obs: np.ndarray, ctx: np.ndarray, tgt: np.ndarray) -> float:
-    loss, _ = loss_and_grads(params, encoder, obs, ctx, tgt)
-    return loss
+def mean_l1_loss(params: VerifierParams, x: np.ndarray, tgt: np.ndarray,
+                 out: np.ndarray | None = None) -> float:
+    """Forward-only mean L1 loss; ``out`` is a reusable (n, hidden) buffer."""
+    return _forward(params, x, tgt, out)[2]
 
 
 def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
@@ -199,28 +201,31 @@ def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
                    init: VerifierParams | None = None) -> TrainReport:
     """Mini-batch gradient descent on the mean L1 objective.
 
-    The encoder is read-only throughout; returns the loss trajectory
-    (entry 0 = loss before any update) and the trained parameters.
+    The read-only encoder runs once; mini-batches are rows of the fused input.
+    Returns the loss trajectory (entry 0 = loss before any update) and the
+    trained parameters.
     """
     if not samples:
         raise ConfigurationError("training requires a nonempty sample list")
     obs, ctx, tgt = _as_matrices(samples)
+    x = np.concatenate([encoder.encode_batch(obs), ctx], axis=1)
     params = (init.copy() if init is not None else
               VerifierParams.create(encoder.width, ctx.shape[1], hidden_width,
                                     tgt.shape[1], seed=seed))
     rng = np.random.default_rng(seed)
-    n = obs.shape[0]
-    losses = [mean_l1_loss(params, encoder, obs, ctx, tgt)]
+    n = x.shape[0]
+    hidden = np.empty((n, params.fused_width))
+    losses = [mean_l1_loss(params, x, tgt, hidden)]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grads = loss_and_grads(params, encoder, obs[idx], ctx[idx], tgt[idx])
+            _, grads = loss_and_grads(params, x[idx], tgt[idx])
             params.w_fuse -= learning_rate * grads.w_fuse
             params.b_fuse -= learning_rate * grads.b_fuse
             params.w_head -= learning_rate * grads.w_head
             params.b_head -= learning_rate * grads.b_head
-        losses.append(mean_l1_loss(params, encoder, obs, ctx, tgt))
+        losses.append(mean_l1_loss(params, x, tgt, hidden))
     return TrainReport(losses=losses, params=params)
 
 

@@ -161,6 +161,7 @@ def test_criterion_5_gradient_check(geometry):
     encoder = ObservationEncoder.create(samples[0].observation.size,
                                         64, seed=0)
     obs, ctx, tgt = _as_matrices(samples[:16])
+    x = np.concatenate([encoder.encode_batch(obs), ctx], axis=1)
     rng = np.random.default_rng(7)
     checked = 0
     worst = 0.0
@@ -168,21 +169,17 @@ def test_criterion_5_gradient_check(geometry):
         params = VerifierParams.create(encoder.width, ctx.shape[1], 32, 3,
                                        seed=int(rng.integers(1 << 30)))
         # skip tie points where the L1 subgradient is ambiguous
-        e = encoder.encode_batch(obs)
-        x = np.concatenate([e, ctx], axis=1)
         z = np.tanh(x @ params.w_fuse.T + params.b_fuse)
         pred = z @ params.w_head.T + params.b_head
         if np.min(np.abs(pred - tgt)) < 1e-4:
             continue
-        _, grads = loss_and_grads(params, encoder, obs, ctx, tgt)
+        _, grads = loss_and_grads(params, x, tgt)
         flat = params.flat()
         d = rng.normal(size=flat.size)
         d /= np.linalg.norm(d)
         eps = 1e-6
-        lp, _ = loss_and_grads(params.with_flat(flat + eps * d), encoder,
-                               obs, ctx, tgt)
-        lm, _ = loss_and_grads(params.with_flat(flat - eps * d), encoder,
-                               obs, ctx, tgt)
+        lp, _ = loss_and_grads(params.with_flat(flat + eps * d), x, tgt)
+        lm, _ = loss_and_grads(params.with_flat(flat - eps * d), x, tgt)
         num = (lp - lm) / (2 * eps)
         ana = float(grads.flat() @ d)
         worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-12))

@@ -9,8 +9,9 @@ from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  TrainedVerifier, VerifierParams,
                                  VerifierSample, _as_matrices,
                                  build_training_set, fuse, load_verifier,
-                                 loss_and_grads, predict_reference,
-                                 save_verifier, train_verifier)
+                                 loss_and_grads, mean_l1_loss,
+                                 predict_reference, save_verifier,
+                                 train_verifier)
 
 
 @pytest.fixture(scope="module")
@@ -182,23 +183,44 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             train_verifier([], encoder)
 
+    @staticmethod
+    def fused(encoder, samples):
+        obs, ctx, tgt = _as_matrices(samples)
+        return np.concatenate([encoder.encode_batch(obs), ctx], axis=1), tgt
+
     def test_gradient_matches_finite_differences(self, encoder, clean_samples):
-        obs, ctx, tgt = _as_matrices(clean_samples[:8])
+        x, tgt = self.fused(encoder, clean_samples[:8])
         rng = np.random.default_rng(12)
-        params = VerifierParams.create(encoder.width, ctx.shape[1], 16, 3, seed=8)
-        _, grads = loss_and_grads(params, encoder, obs, ctx, tgt)
+        params = VerifierParams.create(encoder.width, x.shape[1] - encoder.width,
+                                       16, 3, seed=8)
+        _, grads = loss_and_grads(params, x, tgt)
         flat = params.flat()
         for _ in range(5):
             d = rng.normal(size=flat.size)
             d /= np.linalg.norm(d)
             eps = 1e-6
-            lp, _ = loss_and_grads(params.with_flat(flat + eps * d), encoder,
-                                   obs, ctx, tgt)
-            lm, _ = loss_and_grads(params.with_flat(flat - eps * d), encoder,
-                                   obs, ctx, tgt)
+            lp, _ = loss_and_grads(params.with_flat(flat + eps * d), x, tgt)
+            lm, _ = loss_and_grads(params.with_flat(flat - eps * d), x, tgt)
             num = (lp - lm) / (2 * eps)
             ana = float(grads.flat() @ d)
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
+
+    def test_forward_only_loss_matches_loss_and_grads(self, encoder, clean_samples):
+        """The epoch loss is the same float as the training step's loss and as
+        the plain two-layer formula, whether the hidden layer goes to a fresh
+        array or a reused buffer."""
+        x, tgt = self.fused(encoder, clean_samples)
+        params = VerifierParams.create(encoder.width, x.shape[1] - encoder.width,
+                                       32, 3, seed=4)
+        params.b_fuse[:] = np.linspace(-0.5, 0.5, params.fused_width)
+        z = np.tanh(x @ params.w_fuse.T + params.b_fuse)
+        pred = z @ params.w_head.T + params.b_head
+        expected = float(np.abs(pred - tgt).sum() / x.shape[0])
+        assert loss_and_grads(params, x, tgt)[0] == expected
+        assert mean_l1_loss(params, x, tgt) == expected
+        buffer = np.full((x.shape[0], params.fused_width), np.nan)
+        assert mean_l1_loss(params, x, tgt, buffer) == expected
+        assert mean_l1_loss(params, x, tgt, buffer) == expected
 
 
 class TestInferencePolicies:
