@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
         verifier = build_verifier(cfg)
     traces = run_batch(cfg, verifier=verifier)
     level = cfg.env.disturbance_level
-    reference = reference_batch(cfg, level)
+    reference = reference_batch(cfg)
     write_traces(out / "traces.jsonl", traces)
     write_traces(out / "reference_traces.jsonl", reference)
     row = aggregate(traces, reference, label={

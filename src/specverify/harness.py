@@ -441,7 +441,9 @@ def read_traces(path):
 # ---------------------------------------------------------------------------
 
 
-def reference_batch(cfg: ExperimentConfig, disturbance_level: str | None):
+def reference_batch(cfg: ExperimentConfig, disturbance_level: str | None = None):
+    """Open-loop baseline batch; without a level it runs under the configured
+    disturbance, explicit overrides included."""
     return run_batch(cfg, mode=cfg.reference.mode,
                      chunk_size=cfg.reference.chunk_size,
                      disturbance_level=disturbance_level, verifier=None)

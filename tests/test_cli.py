@@ -115,3 +115,21 @@ def test_rerun_from_saved_config_keeps_disturbance_level(tmp_path):
     row = (second / "summary.csv").read_text().splitlines()[1]
     assert row.split(",")[3] == "moderate"
     assert (second / "summary.csv").read_text() == (first / "summary.csv").read_text()
+
+
+def test_run_reference_keeps_disturbance_overrides(tmp_path):
+    """The speed-up baseline runs under the configured disturbance, overrides
+    included: an open-loop K=4 run is its own reference, byte for byte."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "env": {"disturbance": {"level": "moderate", "object_drift_prob": 0.9}},
+        "controller": {"mode": "open-loop"},
+        "planner": {"chunk_size": 4},
+        "batch": {"episodes": 20},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert ((out / "reference_traces.jsonl").read_bytes()
+            == (out / "traces.jsonl").read_bytes())
+    row = dict(zip(*(line.split(",") for line in
+                     (out / "summary.csv").read_text().splitlines())))
+    assert float(row["speedup"]) == 1.0
