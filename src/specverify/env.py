@@ -134,16 +134,21 @@ def state_from_observation(f: np.ndarray, goal: np.ndarray,
     """
     if f.size != OBS_DIM:
         raise ContractViolation(f"observation has {f.size} entries, expected {OBS_DIM}")
-    agent, obj = f[0:2], f[2:4]
-    goal = np.asarray(goal, dtype=np.float64)
-    if not np.allclose(f[4:6], obj - agent, atol=atol):
+    ax, ay, ox, oy, dx, dy, flag = f.tolist()
+    if not (_close(dx, ox - ax, atol) and _close(dy, oy - ay, atol)):
         raise ContractViolation("observation offsets inconsistent with absolute positions")
-    gripper = int(round(f[6]))
+    gripper = int(round(flag))
     if gripper not in (GRIPPER_OPEN, GRIPPER_HOLDING):
-        raise ContractViolation(f"invalid gripper flag {f[6]}")
-    if gripper == GRIPPER_HOLDING and not np.allclose(obj, agent, atol=atol):
+        raise ContractViolation(f"invalid gripper flag {flag}")
+    if gripper == GRIPPER_HOLDING and not (_close(ox, ax, atol) and _close(oy, ay, atol)):
         raise ContractViolation("holding gripper requires object at agent position")
-    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal, gripper=gripper, step=0)
+    return EnvState(agent_pos=f[0:2], object_pos=f[2:4],
+                    goal_pos=np.asarray(goal, dtype=np.float64), gripper=gripper, step=0)
+
+
+def _close(a: float, b: float, atol: float) -> bool:
+    """np.allclose's test (rtol 1e-5) on one pair of floats; NaN is never close."""
+    return abs(a - b) <= atol + 1e-5 * abs(b)
 
 
 def is_success(state: EnvState, geom: Geometry) -> bool:

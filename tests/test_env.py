@@ -66,6 +66,21 @@ class TestObservation:
         with pytest.raises(ContractViolation):
             state_from_observation(broken, [0.0, 0.0])
 
+    @pytest.mark.parametrize("entry", (4, 5))
+    def test_nan_offset_rejected(self, entry):
+        broken = render_observation(make_state([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
+        broken[entry] = np.nan
+        with pytest.raises(ContractViolation):
+            state_from_observation(broken, [0.0, 0.0])
+
+    def test_holding_flag_needs_object_at_agent(self):
+        held = make_state([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], gripper=GRIPPER_HOLDING)
+        state_from_observation(render_observation(held), [0.0, 0.0])
+        away = make_state([0.5, 0.5], [0.5, 0.55], [0.0, 0.0],
+                          gripper=GRIPPER_HOLDING)
+        with pytest.raises(ContractViolation):
+            state_from_observation(render_observation(away), [0.0, 0.0])
+
 
 class TestSuccessAndExpert:
     def test_success_requires_open_gripper(self, geometry):
