@@ -10,8 +10,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from specverify.harness import (config_from_dict, run_batch, train_from_config,
-                                write_traces)
+from specverify.harness import (config_from_dict, run_batch, save_config,
+                                train_from_config, write_traces)
 from specverify.verifier import save_verifier
 
 MODES = ("sv", "open-loop", "verifier-only", "sv-without-context",
@@ -101,6 +101,27 @@ VERIFIER_JSON_DIGEST = (
 LOSS_CURVE_DIGEST = (
     "729d4e920ca46e3e541097e999280064eaf20759f9b913c63507977abaaa8758")
 
+#: ``save_config`` output (the ``config_used.yaml`` of a run) for four valid
+#: configs, each given as the mapping a YAML file would hold.
+CONFIG_FILES = {
+    "default": ({}, "e6d10978cd877b63db91c00a7b6f261b84978be82e2d52dd1eb12339c1244dd3"),
+    "moderate": (
+        {"env": {"disturbance": {"level": "moderate"}}},
+        "eb99fcd9f4b7b4fc48cb7d19645f153d24a54d31e477d52cabf5fd5927bc91e2"),
+    "moderate_drift_override": (
+        {"env": {"horizon": 30, "world_size": 3.0,
+                 "disturbance": {"level": "moderate", "object_drift_prob": 0.3}}},
+        "576bc12219e904eac2c00d373c6932b13108f63ee7287436da3fb7b35392eeae"),
+    "oracle_overrides": (
+        {"verifier": {"kind": "oracle",
+                      "training": {"epochs": 50, "boundaries": "first",
+                                   "disturbance_level": "off"}},
+         "controller": {"tau": 0.3, "latency": {"t_heavy": 2.0, "t_verify": 0.1}},
+         "sweep": {"chunk_sizes": [2, 8], "taus": [0.3], "modes": ["sv", "open-loop"]},
+         "reference": {"chunk_size": 8}},
+        "722e84a63135b9d660d7ab8763bb8071b6efc8a3a10e1da06d7512aa638ea182"),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -143,3 +164,11 @@ def test_loss_curve_digest():
     assert len(report.losses) == 41
     losses = np.asarray(report.losses, dtype=np.float64)
     assert hashlib.sha256(losses.tobytes()).hexdigest() == LOSS_CURVE_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_FILES))
+def test_config_file_digest(tmp_path, name):
+    data, digest = CONFIG_FILES[name]
+    path = tmp_path / "config_used.yaml"
+    save_config(config_from_dict(data), path)
+    assert sha256(path) == digest
