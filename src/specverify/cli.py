@@ -1,59 +1,43 @@
 """Command-line entry point: train / run / sweep / report subcommands.
 
-Flags mirror config fields and override them; SPECVERIFY_OUTPUT sets the
-default output directory root. Exit codes: 0 success, 2 configuration error,
-1 runtime error.
+Each override flag names one dotted config path and is checked exactly as the
+same value in a config file; SPECVERIFY_OUTPUT sets the default output
+directory root. Exit codes: 0 success, 2 configuration error, 1 contract
+violation.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigurationError, ContractViolation
-from .harness import (ExperimentConfig, aggregate, build_verifier, config_from_dict,
-                      load_config, read_traces, reference_batch, rows_to_csv,
-                      run_batch, run_sweep, save_config, train_from_config,
-                      write_traces)
+from .harness import (ExperimentConfig, aggregate, load_config, override_config,
+                      read_traces, reference_batch, rows_to_csv, run_batch,
+                      run_sweep, save_config, train_from_config, write_traces)
 from .verifier import save_verifier
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="YAML experiment config (defaults apply if omitted)")
-    p.add_argument("--output-dir", help="output root (default: config value or "
-                                        "$SPECVERIFY_OUTPUT)")
-    p.add_argument("--episodes", type=int, help="override batch.episodes")
-    p.add_argument("--base-seed", type=int, help="override batch.base_seed")
-    p.add_argument("--mode", help="override controller.mode")
-    p.add_argument("--tau", type=float, help="override controller.tau")
-    p.add_argument("--chunk-size", type=int, help="override planner.chunk_size")
-    p.add_argument("--disturbance", help="override disturbance level (off|moderate)")
-    p.add_argument("--params", help="override verifier.params_path")
+#: Flags that override one config value each: (flag, type, dotted config path).
+OVERRIDES = (
+    ("--episodes", int, "batch.episodes"),
+    ("--base-seed", int, "batch.base_seed"),
+    ("--mode", str, "controller.mode"),
+    ("--tau", float, "controller.tau"),
+    ("--chunk-size", int, "planner.chunk_size"),
+    ("--disturbance", str, "env.disturbance.level"),
+    ("--params", str, "verifier.params_path"),
+)
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else config_from_dict({})
-    if args.episodes is not None:
-        cfg = replace(cfg, batch=replace(cfg.batch, episodes=args.episodes))
-    if args.base_seed is not None:
-        cfg = replace(cfg, batch=replace(cfg.batch, base_seed=args.base_seed))
-    if args.mode is not None:
-        cfg = replace(cfg, controller=replace(cfg.controller, mode=args.mode))
-    if args.tau is not None:
-        cfg = replace(cfg, controller=replace(cfg.controller, tau=args.tau))
-    if args.chunk_size is not None:
-        cfg = replace(cfg, planner=replace(cfg.planner, chunk_size=args.chunk_size))
-    if args.params is not None:
-        cfg = replace(cfg, verifier=replace(cfg.verifier, params_path=args.params))
-    if args.disturbance is not None:
-        from .env import DisturbanceConfig
-        cfg = replace(cfg, env=replace(
-            cfg.env, disturbance=DisturbanceConfig.from_level(args.disturbance),
-            disturbance_level=args.disturbance))
-    out = args.output_dir or os.environ.get("SPECVERIFY_OUTPUT") or cfg.output_dir
-    return replace(cfg, output_dir=out)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {path: getattr(args, path) for _, _, path in OVERRIDES
+                 if getattr(args, path) is not None}
+    output_dir = args.output_dir or os.environ.get("SPECVERIFY_OUTPUT")
+    if output_dir:
+        overrides["output_dir"] = output_dir
+    return override_config(cfg, overrides)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -77,18 +61,13 @@ def cmd_train(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
-    verifier = None
-    from .controller import ControllerMode
-    if ControllerMode(cfg.controller.mode).needs_verifier:
-        verifier = build_verifier(cfg)
-    traces = run_batch(cfg, verifier=verifier)
-    level = cfg.env.disturbance_level
+    traces = run_batch(cfg)
     reference = reference_batch(cfg)
     write_traces(out / "traces.jsonl", traces)
     write_traces(out / "reference_traces.jsonl", reference)
     row = aggregate(traces, reference, label={
         "mode": cfg.controller.mode, "chunk_size": cfg.planner.chunk_size,
-        "tau": cfg.controller.tau, "disturbance": level or "custom"})
+        "tau": cfg.controller.tau, "disturbance": cfg.env.disturbance_level or "custom"})
     csv_text = rows_to_csv([row])
     (out / "summary.csv").write_text(csv_text)
     save_config(cfg, out / "config_used.yaml")
@@ -145,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "chunks, lightweight verification, deviation-triggered replanning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="collect a dataset, train the verifier, save params")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("run", help="run one configuration and write traces + summary")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("sweep", help="run the configured (mode, K, tau, disturbance) grid")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
+    for name, fn, text in (
+            ("train", cmd_train, "collect a dataset, train the verifier, save params"),
+            ("run", cmd_run, "run one configuration and write traces + summary"),
+            ("sweep", cmd_sweep, "run the configured (mode, K, tau, disturbance) grid")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="YAML experiment config (defaults apply if omitted)")
+        p.add_argument("--output-dir", help="output root (default: $SPECVERIFY_OUTPUT or "
+                                            "the config value)")
+        for flag, kind, path in OVERRIDES:
+            p.add_argument(flag, type=kind, dest=path, help=f"override {path}")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("report", help="recompute summary tables from raw trace files")
     p.add_argument("--traces-dir", required=True, help="directory of .jsonl trace files")

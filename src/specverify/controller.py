@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -35,10 +35,11 @@ class LatencyModel:
     t_ctrl: float = 0.1
 
     def __post_init__(self):
-        if min(self.t_heavy, self.t_verify, self.t_ctrl) < 0:
-            raise ConfigurationError("latencies must be nonnegative")
+        for f in fields(self):
+            if (value := getattr(self, f.name)) < 0:
+                raise ConfigurationError(f"{f.name}: must be nonnegative, got {value}")
         if self.t_verify > self.t_heavy:
-            raise ConfigurationError("t_verify must not exceed t_heavy")
+            raise ConfigurationError("t_verify: must not exceed t_heavy")
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class ThresholdConfig:
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
-            raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
+            raise ConfigurationError(f"tau: must lie in (0, 1), got {self.tau}")
         if self.max_replans < 1:
-            raise ConfigurationError("max_replans must be >= 1")
+            raise ConfigurationError(f"max_replans: must be >= 1, got {self.max_replans}")
 
 
 class ControllerMode(str, Enum):
@@ -123,11 +124,14 @@ class EpisodeTrace:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records + [summary])
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "EpisodeTrace":
-        records = [json.loads(line) for line in text.strip().splitlines()]
+    def from_records(cls, records: list) -> "EpisodeTrace":
+        """Rebuild a trace from its parsed records, the summary record last."""
         summary = records[-1]
         if summary.get("type") != "summary":
-            raise ValueError("trace file missing summary record")
+            raise ConfigurationError("trace lacks a summary record")
+        missing = [k for k in _SUMMARY_FIELDS + _LATENCY_FIELDS if k not in summary]
+        if missing:
+            raise ConfigurationError(f"summary record lacks {missing}")
         return cls(latency=LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS}),
                    records=records[:-1], **{k: summary[k] for k in _SUMMARY_FIELDS})
 

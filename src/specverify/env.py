@@ -36,10 +36,9 @@ class Geometry:
     success_radius: float = 0.1
 
     def __post_init__(self):
-        if self.world_size <= 0 or self.step_bound <= 0:
-            raise ConfigurationError("world_size and step_bound must be positive")
-        if self.grasp_radius <= 0 or self.success_radius <= 0:
-            raise ConfigurationError("grasp_radius and success_radius must be positive")
+        for name in ("world_size", "step_bound", "grasp_radius", "success_radius"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name}: must be positive, got {getattr(self, name)}")
         b = self.step_bound
         object.__setattr__(self, "_space", ActionSpace(lower=[-b, -b, 0.0], upper=[b, b, 1.0]))
 
@@ -58,15 +57,11 @@ class DisturbanceConfig:
         for name in ("object_drift_prob", "grasp_failure_prob"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {p}")
+                raise ConfigurationError(f"{name}: must lie in [0, 1], got {p}")
         for name in ("actuation_noise_sigma", "object_drift_magnitude"):
             v = getattr(self, name)
             if v < 0:
-                raise ConfigurationError(f"{name} must be nonnegative, got {v}")
-
-    @classmethod
-    def off(cls) -> "DisturbanceConfig":
-        return cls()
+                raise ConfigurationError(f"{name}: must be nonnegative, got {v}")
 
     @classmethod
     def moderate(cls) -> "DisturbanceConfig":
@@ -79,7 +74,7 @@ class DisturbanceConfig:
 
     @classmethod
     def from_level(cls, level: str) -> "DisturbanceConfig":
-        levels = {"off": cls.off, "moderate": cls.moderate}
+        levels = {"off": cls, "moderate": cls.moderate}
         if level not in levels:
             raise ConfigurationError(f"unknown disturbance level {level!r}; options: {sorted(levels)}")
         return levels[level]()
@@ -93,7 +88,7 @@ class EpisodeConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
+            raise ConfigurationError(f"horizon: must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True, eq=False)

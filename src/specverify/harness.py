@@ -1,13 +1,19 @@
 """Experiment driver: config loading, seeded batches, sweeps, aggregation.
 
-Configs are YAML with a version field; every invalid field is reported with
-its dotted path. All outputs (line-delimited trace files, CSV summary tables)
-are byte-deterministic given the same config.
+Configs are YAML with a version field, read by one walk over the config
+dataclasses' fields. Each dataclass checks its values in ``__post_init__``, so
+``dataclasses.replace`` runs the same checks; their errors begin with the
+field name, and the walk prefixes the section's dotted path. All outputs (line-delimited trace files, CSV summary tables) are
+byte-deterministic given the same config.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+import json
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -16,8 +22,9 @@ from .controller import (ControllerMode, EpisodeTrace, LatencyModel,
 from .core import ConfigurationError
 from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
 from .planner import make_planner
-from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
-                       build_training_set, load_verifier, train_verifier)
+from .verifier import (BOUNDARIES, ObservationEncoder, OracleVerifier,
+                       TrainedVerifier, build_training_set, load_verifier,
+                       train_verifier)
 
 CONFIG_VERSION = 1
 
@@ -28,6 +35,13 @@ CSV_COLUMNS = [
     "mean_steps_before_replan", "mean_steps_before_replan_events_only",
     "guard_hits",
 ]
+
+def _named(name: str, check, *args, **kwargs):
+    """Run an existing check; its error, or an unknown enum value, names ``name``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -40,6 +54,15 @@ class TrainingConfig:
     boundaries: str = "all"
     disturbance_level: str | None = None  # None = same as env
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if self.boundaries not in BOUNDARIES:
+            raise ConfigurationError(
+                f"boundaries: must be one of {BOUNDARIES}, got {self.boundaries!r}")
+        if self.disturbance_level is not None:
+            _named("disturbance_level", DisturbanceConfig.from_level, self.disturbance_level)
+
 
 @dataclass(frozen=True)
 class VerifierConfig:
@@ -50,12 +73,19 @@ class VerifierConfig:
     params_path: str | None = None
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
+    def __post_init__(self):
+        if self.kind not in ("trained", "oracle"):
+            raise ConfigurationError(f"kind: unknown kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
     kind: str = "nominal-rollout"
     chunk_size: int = 16
     context_width: int = 16
+
+    def __post_init__(self):
+        make_planner(self.kind, Geometry(), self.chunk_size, self.context_width)
 
 
 @dataclass(frozen=True)
@@ -65,19 +95,37 @@ class ControllerConfig:
     max_replans: int = 32
     latency: LatencyModel = field(default_factory=LatencyModel)
 
+    def __post_init__(self):
+        _named("mode", ControllerMode, self.mode)
+        ThresholdConfig(tau=self.tau, max_replans=self.max_replans)
+
 
 @dataclass(frozen=True)
 class BatchConfig:
     episodes: int = 200
     base_seed: int = 0
 
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ConfigurationError(f"episodes: must be >= 1, got {self.episodes}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    chunk_sizes: tuple = (1, 4, 16)
-    taus: tuple = (0.1, 0.2, 0.4)
-    disturbance_levels: tuple = ("off", "moderate")
-    modes: tuple = ("sv",)
+    chunk_sizes: tuple[int, ...] = (1, 4, 16)
+    taus: tuple[float, ...] = (0.1, 0.2, 0.4)
+    disturbance_levels: tuple[str, ...] = ("off", "moderate")
+    modes: tuple[str, ...] = ("sv",)
+
+    def __post_init__(self):
+        for k in self.chunk_sizes:
+            _named("chunk_sizes", PlannerConfig, chunk_size=k)
+        for tau in self.taus:
+            _named("taus", ThresholdConfig, tau=tau)
+        for level in self.disturbance_levels:
+            _named("disturbance_levels", DisturbanceConfig.from_level, level)
+        for mode in self.modes:
+            _named("modes", ControllerMode, mode)
 
 
 @dataclass(frozen=True)
@@ -87,6 +135,10 @@ class ReferenceConfig:
     mode: str = "open-loop"
     chunk_size: int = 4
 
+    def __post_init__(self):
+        _named("mode", ControllerMode, self.mode)
+        PlannerConfig(chunk_size=self.chunk_size)
+
 
 @dataclass(frozen=True)
 class EnvSection:
@@ -94,6 +146,11 @@ class EnvSection:
     geometry: Geometry = field(default_factory=Geometry)
     disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
     disturbance_level: str | None = None
+
+    def __post_init__(self):
+        self.episode_config()  # checks the horizon
+        if self.disturbance_level is not None:
+            _named("disturbance_level", DisturbanceConfig.from_level, self.disturbance_level)
 
     def episode_config(self, disturbance: DisturbanceConfig | None = None) -> EpisodeConfig:
         return EpisodeConfig(horizon=self.horizon, geometry=self.geometry,
@@ -112,158 +169,111 @@ class ExperimentConfig:
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
     output_dir: str = "results"
 
+    def __post_init__(self):
+        if self.version != CONFIG_VERSION:
+            raise ConfigurationError(f"version: unsupported config version {self.version!r}")
+
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config files: one walk over the dataclass fields
 # ---------------------------------------------------------------------------
 
 
-def _build(section_cls, raw: dict, path: str, converters: dict | None = None):
-    converters = converters or {}
-    kwargs = {}
-    for key, value in raw.items():
-        if key in converters:
-            value = converters[key](value, f"{path}.{key}")
-        kwargs[key] = value
-    try:
-        return section_cls(**kwargs)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+_EXPECTED = {int: "a nonnegative int", float: "a finite float", str: "a string"}
 
 
-def _parse_disturbance(raw, path: str) -> tuple:
-    """Returns (DisturbanceConfig, level_or_None); a named level seeds the
-    explicit fields and explicit fields override it."""
-    if raw is None:
-        return DisturbanceConfig(), None
-    raw = dict(raw)
-    level = raw.pop("level", None)
-    base = DisturbanceConfig.from_level(level) if level else DisturbanceConfig()
-    allowed = {"actuation_noise_sigma", "object_drift_prob",
-               "object_drift_magnitude", "grasp_failure_prob"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
-    try:
-        return replace(base, **raw), level
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+def _typed(tp, value, where: str):
+    """``value`` checked against the field annotation ``tp``; a list becomes a
+    tuple. Every int in a config is a count, size, seed or version, so none is
+    negative."""
+    if type(None) in get_args(tp):  # X | None
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if tp is float else tp
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or tp is float and not math.isfinite(value) or tp is int and value < 0):
+        raise ConfigurationError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
+    return value
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def _apply(section, data, path: str):
+    """``section`` (a config dataclass) with the YAML mapping ``data`` applied.
+
+    Each value is checked against its field's annotation and nested sections
+    recurse; unknown keys are rejected, and every error begins with the dotted
+    path of the value it concerns.
+    """
     if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a mapping")
+        raise ConfigurationError(f"{path or 'config root'}: expected a mapping, got {data!r}")
     data = dict(data)
-    version = data.pop("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigurationError(f"version: unsupported config version {version!r}")
-
-    env_raw = dict(data.pop("env", {}) or {})
-    disturbance, level = _parse_disturbance(env_raw.pop("disturbance", None),
-                                            "env.disturbance")
-    geom_keys = {"world_size", "step_bound", "grasp_radius", "success_radius"}
-    geom_raw = {k: env_raw.pop(k) for k in list(env_raw) if k in geom_keys}
-    geometry = _build(Geometry, geom_raw, "env")
-    env_section = _build(EnvSection,
-                         {**env_raw, "geometry": geometry, "disturbance": disturbance,
-                          "disturbance_level": level},
-                         "env")
-
-    planner = _build(PlannerConfig, dict(data.pop("planner", {}) or {}), "planner")
-
-    verifier_raw = dict(data.pop("verifier", {}) or {})
-    training = _build(TrainingConfig, dict(verifier_raw.pop("training", {}) or {}),
-                      "verifier.training")
-    verifier = _build(VerifierConfig, {**verifier_raw, "training": training}, "verifier")
-    if verifier.kind not in ("trained", "oracle"):
-        raise ConfigurationError(f"verifier.kind: unknown kind {verifier.kind!r}")
-
-    controller_raw = dict(data.pop("controller", {}) or {})
-    latency = _build(LatencyModel, dict(controller_raw.pop("latency", {}) or {}),
-                     "controller.latency")
-    controller = _build(ControllerConfig, {**controller_raw, "latency": latency},
-                        "controller")
+    hints = get_type_hints(type(section))
+    if isinstance(section, EnvSection):  # these two fields have no key of their own
+        section = _apply_env_spelling(section, data, path)
+        del hints["geometry"], hints["disturbance_level"]
+    changes = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigurationError(f"{where}: unknown key")
+        current = getattr(section, key)
+        changes[key] = (_apply(current, value, where) if is_dataclass(current)
+                        else _typed(hints[key], value, where))
     try:
-        ControllerMode(controller.mode)
-    except ValueError as exc:
-        raise ConfigurationError(f"controller.mode: {exc}") from exc
-    try:
-        ThresholdConfig(tau=controller.tau, max_replans=controller.max_replans)
+        return replace(section, **changes)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"controller: {exc}") from exc
-
-    batch = _build(BatchConfig, dict(data.pop("batch", {}) or {}), "batch")
-    sweep_raw = {k: tuple(v) for k, v in (data.pop("sweep", {}) or {}).items()}
-    sweep = _build(SweepConfig, sweep_raw, "sweep")
-    try:
-        for lvl in sweep.disturbance_levels:
-            DisturbanceConfig.from_level(lvl)
-        for m in sweep.modes:
-            ControllerMode(m)
-    except (ConfigurationError, ValueError) as exc:
-        raise ConfigurationError(f"sweep: {exc}") from exc
-    reference = _build(ReferenceConfig, dict(data.pop("reference", {}) or {}), "reference")
-    output_dir = data.pop("output_dir", "results")
-    if data:
-        raise ConfigurationError(f"unknown top-level keys {sorted(data)}")
-
-    return ExperimentConfig(version=version, env=env_section, planner=planner,
-                            verifier=verifier, controller=controller, batch=batch,
-                            sweep=sweep, reference=reference, output_dir=output_dir)
+        raise ConfigurationError(f"{path}.{exc}" if path else str(exc)) from exc
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "version": cfg.version,
-        "env": {
-            "horizon": cfg.env.horizon,
-            "world_size": cfg.env.geometry.world_size,
-            "step_bound": cfg.env.geometry.step_bound,
-            "grasp_radius": cfg.env.geometry.grasp_radius,
-            "success_radius": cfg.env.geometry.success_radius,
-            "disturbance": {
-                "level": cfg.env.disturbance_level,
-                "actuation_noise_sigma": cfg.env.disturbance.actuation_noise_sigma,
-                "object_drift_prob": cfg.env.disturbance.object_drift_prob,
-                "object_drift_magnitude": cfg.env.disturbance.object_drift_magnitude,
-                "grasp_failure_prob": cfg.env.disturbance.grasp_failure_prob,
-            },
-        },
-        "planner": {"kind": cfg.planner.kind, "chunk_size": cfg.planner.chunk_size,
-                    "context_width": cfg.planner.context_width},
-        "verifier": {
-            "kind": cfg.verifier.kind,
-            "encoder_width": cfg.verifier.encoder_width,
-            "hidden_width": cfg.verifier.hidden_width,
-            "encoder_seed": cfg.verifier.encoder_seed,
-            "params_path": cfg.verifier.params_path,
-            "training": {
-                "episodes": cfg.verifier.training.episodes,
-                "epochs": cfg.verifier.training.epochs,
-                "learning_rate": cfg.verifier.training.learning_rate,
-                "batch_size": cfg.verifier.training.batch_size,
-                "seed": cfg.verifier.training.seed,
-                "boundaries": cfg.verifier.training.boundaries,
-                "disturbance_level": cfg.verifier.training.disturbance_level,
-            },
-        },
-        "controller": {
-            "mode": cfg.controller.mode,
-            "tau": cfg.controller.tau,
-            "max_replans": cfg.controller.max_replans,
-            "latency": {"t_heavy": cfg.controller.latency.t_heavy,
-                        "t_verify": cfg.controller.latency.t_verify,
-                        "t_ctrl": cfg.controller.latency.t_ctrl},
-        },
-        "batch": {"episodes": cfg.batch.episodes, "base_seed": cfg.batch.base_seed},
-        "sweep": {"chunk_sizes": list(cfg.sweep.chunk_sizes),
-                  "taus": list(cfg.sweep.taus),
-                  "disturbance_levels": list(cfg.sweep.disturbance_levels),
-                  "modes": list(cfg.sweep.modes)},
-        "reference": {"mode": cfg.reference.mode,
-                      "chunk_size": cfg.reference.chunk_size},
-        "output_dir": cfg.output_dir,
-    }
+# The two places where the YAML spelling of ``env`` is not one-to-one with
+# EnvSection: Geometry's fields sit directly under ``env``, and
+# ``env.disturbance.level`` is stored as ``disturbance_level`` and seeds the
+# disturbance fields, which the explicit ones then override.
+_GEOMETRY_KEYS = frozenset(f.name for f in fields(Geometry))
+
+
+def _apply_env_spelling(env: EnvSection, data: dict, path: str) -> EnvSection:
+    """Apply, and remove from ``data``, the geometry keys and the level."""
+    geometry = {k: data.pop(k) for k in _GEOMETRY_KEYS & data.keys()}
+    env = replace(env, geometry=_apply(env.geometry, geometry, path))
+    disturbance = data.get("disturbance")
+    if isinstance(disturbance, dict) and "level" in disturbance:
+        data["disturbance"] = {k: v for k, v in disturbance.items() if k != "level"}
+        where = f"{path}.disturbance.level"
+        level = _typed(str | None, disturbance["level"], where)
+        seed = (DisturbanceConfig() if level is None
+                else _named(where, DisturbanceConfig.from_level, level))
+        env = replace(env, disturbance=seed, disturbance_level=level)
+    return env
+
+
+def config_to_dict(value):
+    """The YAML form of a config (or of any value in it), spelled as
+    ``config_from_dict`` reads it."""
+    if not is_dataclass(value):
+        return list(value) if isinstance(value, tuple) else value
+    data = {f.name: config_to_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, EnvSection):
+        data.update(data.pop("geometry"))
+        data["disturbance"]["level"] = data.pop("disturbance_level")
+    return data
+
+
+def config_from_dict(data) -> ExperimentConfig:
+    return _apply(ExperimentConfig(), data, "")
+
+
+def override_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    """``cfg`` with ``{dotted path: value}`` applied and checked as in a file."""
+    data = {}
+    for dotted, value in overrides.items():
+        *sections, key = dotted.split(".")
+        reduce(lambda node, name: node.setdefault(name, {}), sections, data)[key] = value
+    return _apply(cfg, data, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -272,6 +282,8 @@ def load_config(path) -> ExperimentConfig:
             data = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from exc
     cfg = config_from_dict(data or {})
@@ -336,16 +348,16 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
               disturbance_level: str | None = None, verifier=None,
               episodes: int | None = None):
     """Run the configured episode count with seeds base_seed + index."""
-    mode = ControllerMode(mode or cfg.controller.mode)
+    mode = ControllerMode(cfg.controller.mode if mode is None else mode)
     if verifier is None and mode.needs_verifier:
         verifier = build_verifier(cfg)
-    disturbance = (DisturbanceConfig.from_level(disturbance_level)
-                   if disturbance_level else cfg.env.disturbance)
+    disturbance = (cfg.env.disturbance if disturbance_level is None
+                   else DisturbanceConfig.from_level(disturbance_level))
     episode_cfg = cfg.env.episode_config(disturbance)
     planner = make_planner(cfg.planner.kind, cfg.env.geometry,
-                           chunk_size or cfg.planner.chunk_size,
+                           cfg.planner.chunk_size if chunk_size is None else chunk_size,
                            cfg.planner.context_width)
-    threshold = ThresholdConfig(tau=tau or cfg.controller.tau,
+    threshold = ThresholdConfig(tau=cfg.controller.tau if tau is None else tau,
                                 max_replans=cfg.controller.max_replans)
     n = episodes if episodes is not None else cfg.batch.episodes
     traces = []
@@ -423,16 +435,21 @@ def write_traces(path, traces) -> None:
 
 
 def read_traces(path):
-    traces = []
-    block = []
+    """Traces from a file written by ``write_traces``; each line is parsed once
+    and a summary record closes its episode. A damaged file raises
+    ConfigurationError naming the file and line."""
+    traces, records = [], []
     with open(path) as fh:
-        for line in fh:
-            block.append(line)
-            if '"type": "summary"' in line or '"type":"summary"' in line:
-                traces.append(EpisodeTrace.from_jsonl("".join(block)))
-                block = []
-    if block:
-        raise ValueError(f"{path}: trailing records without a summary line")
+        for number, line in enumerate(fh, 1):
+            try:
+                records.append(json.loads(line))
+                if records[-1].get("type") == "summary":
+                    traces.append(EpisodeTrace.from_records(records))
+                    records = []
+            except (ValueError, AttributeError) as exc:  # AttributeError: not an object
+                raise ConfigurationError(f"{path}:{number}: {exc}") from exc
+    if records:
+        raise ConfigurationError(f"{path}:{number}: trailing records without a summary line")
     return traces
 
 

@@ -32,10 +32,10 @@ class NominalRolloutPlanner:
 
     def __init__(self, geometry: Geometry, chunk_size: int, context_width: int = 16):
         if chunk_size < 1:
-            raise ConfigurationError("chunk size must be >= 1")
+            raise ConfigurationError(f"chunk_size: must be >= 1, got {chunk_size}")
         if context_width < _CONTEXT_BASE_WIDTH:
             raise ConfigurationError(
-                f"context width must be >= {_CONTEXT_BASE_WIDTH}, got {context_width}")
+                f"context_width: must be >= {_CONTEXT_BASE_WIDTH}, got {context_width}")
         self.geom = geometry
         self.chunk_size = chunk_size
         self.context_width = context_width
@@ -76,5 +76,5 @@ class NominalRolloutPlanner:
 def make_planner(kind: str, geometry: Geometry, chunk_size: int,
                  context_width: int = 16) -> NominalRolloutPlanner:
     if kind != "nominal-rollout":
-        raise ConfigurationError(f"unknown planner kind {kind!r}")
+        raise ConfigurationError(f"kind: unknown planner kind {kind!r}")
     return NominalRolloutPlanner(geometry, chunk_size, context_width)

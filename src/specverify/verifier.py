@@ -18,6 +18,9 @@ from .env import EpisodeConfig, ToyEnv, expert_action, render_observation
 
 PARAMS_FORMAT_VERSION = 1
 
+#: Which chunks of a collection episode give training samples.
+BOUNDARIES = ("all", "first")
+
 
 @dataclass(frozen=True, eq=False)
 class ObservationEncoder:
@@ -240,7 +243,7 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     """
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
-    if boundaries not in ("all", "first"):
+    if boundaries not in BOUNDARIES:
         raise ConfigurationError(f"boundaries must be 'all' or 'first', got {boundaries!r}")
     geom = config.geometry
     samples = []

@@ -133,3 +133,36 @@ def test_run_reference_keeps_disturbance_overrides(tmp_path):
     row = dict(zip(*(line.split(",") for line in
                      (out / "summary.csv").read_text().splitlines())))
     assert float(row["speedup"]) == 1.0
+
+
+def test_mode_flag_validated_with_dotted_path(tmp_path, capsys):
+    assert main(["run", "--mode", "mpc", "--output-dir", str(tmp_path)]) == 2
+    assert "controller.mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field"))
+def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"},
+        "batch": {"episodes": 2},
+        "sweep": {"chunk_sizes": [4], "taus": [0.2],
+                  "disturbance_levels": ["off"], "modes": ["sv"]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 0
+    path = out / "traces" / "sv_K4_tau0.2_off.jsonl"
+    text = path.read_text()
+    if damage == "malformed_json":
+        text = "{" + text
+    else:
+        text = text.replace('"executed_steps"', '"executed"')
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--traces-dir", str(out / "traces")]) == 2
+    assert f"configuration error: {path}:" in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(tmp_path) in err

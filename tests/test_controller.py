@@ -1,4 +1,6 @@
 """Controller tests: decision rule, cost model, episode loop, traces."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,10 +235,11 @@ class TestTraces:
     def test_jsonl_round_trip(self):
         env = clean_env(seed=4, disturbance=DisturbanceConfig.moderate())
         tr = run(env, "sv", chunk_size=8)
-        back = EpisodeTrace.from_jsonl(tr.to_jsonl())
+        back = EpisodeTrace.from_records([json.loads(line)
+                                          for line in tr.to_jsonl().splitlines()])
         assert back.to_jsonl() == tr.to_jsonl()
         assert back.simulated_inference_time == tr.simulated_inference_time
 
     def test_missing_summary_rejected(self):
         with pytest.raises(ValueError):
-            EpisodeTrace.from_jsonl('{"type": "step", "step": 0}\n')
+            EpisodeTrace.from_records([{"type": "step", "step": 0}])

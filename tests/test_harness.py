@@ -1,8 +1,11 @@
 """Harness tests: config schema, batch determinism, aggregation, sweeps."""
+import re
 from dataclasses import replace
 
 import pytest
+import yaml
 
+from specverify.cli import main
 from specverify.core import ConfigurationError
 from specverify.harness import (CSV_COLUMNS, ExperimentConfig, aggregate,
                                 config_from_dict, config_to_dict, load_config,
@@ -16,6 +19,38 @@ def oracle_config(**env_overrides) -> ExperimentConfig:
     if env_overrides:
         data["env"] = env_overrides
     return config_from_dict(data)
+
+
+#: Malformed configs, each with the dotted path its error must begin with.
+MALFORMED_CONFIGS = [
+    ({"sweep": {"chunk_sizes": [0]}}, "sweep.chunk_sizes"),
+    ({"sweep": {"taus": [0]}}, "sweep.taus"),
+    ({"reference": {"chunk_size": 0}}, "reference.chunk_size"),
+    ({"sweep": {"taus": 0.2}}, "sweep.taus"),
+    ({"env": [1, 2]}, "env"),
+    ({"planner": {"chunk_size": "16"}}, "planner.chunk_size"),
+    ({"env": {"horizon": "40"}}, "env.horizon"),
+    ({"reference": {"mode": "mpc"}}, "reference.mode"),
+    ({"batch": {"episodes": 0}}, "batch.episodes"),
+    ({"planner": {"chunk_size": True}}, "planner.chunk_size"),
+    ({"verifier": {"training": {"boundaries": "bogus"}}}, "verifier.training.boundaries"),
+    ({"verifier": {"training": {"disturbance_level": "bogus"}}},
+     "verifier.training.disturbance_level"),
+]
+
+
+@pytest.mark.parametrize("data,path", MALFORMED_CONFIGS)
+def test_malformed_config_names_dotted_path(data, path):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("data,path", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2(tmp_path, capsys, data, path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {path}" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -59,6 +94,10 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config(tmp_path / "nope.yaml")
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path))):
+            load_config(tmp_path)
 
     def test_unreadable_params_path(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -172,4 +211,34 @@ class TestTraceFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "step", "step": 0}\n')
         with pytest.raises(ValueError):
+            read_traces(path)
+
+    @pytest.fixture
+    def trace_file(self, tmp_path):
+        """Two oracle episodes written to disk; returns (path, lines)."""
+        path = tmp_path / "traces.jsonl"
+        write_traces(path, run_batch(oracle_config(), episodes=2))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_trailing_records_name_file_and_line(self, trace_file):
+        path, lines = trace_file
+        path.write_text("".join(lines + lines[:1]))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{len(lines) + 1}: trailing"):
+            read_traces(path)
+
+    def test_malformed_json_names_file_and_line(self, trace_file):
+        path, lines = trace_file
+        lines[3] = lines[3][:-5] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match=rf"{re.escape(str(path))}:4: "):
+            read_traces(path)
+
+    def test_summary_missing_field_names_file_and_line(self, trace_file):
+        path, lines = trace_file
+        end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+        lines[end] = lines[end].replace('"replans"', '"replanz"')
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{end + 1}: .*replans"):
             read_traces(path)
