@@ -32,12 +32,9 @@ OVERRIDES = (
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {path: getattr(args, path) for _, _, path in OVERRIDES
-                 if getattr(args, path) is not None}
-    output_dir = args.output_dir or os.environ.get("SPECVERIFY_OUTPUT")
-    if output_dir:
-        overrides["output_dir"] = output_dir
-    return override_config(cfg, overrides)
+    overrides = {path: getattr(args, path) for _, _, path in OVERRIDES}
+    overrides["output_dir"] = args.output_dir or os.environ.get("SPECVERIFY_OUTPUT") or None
+    return override_config(cfg, {k: v for k, v in overrides.items() if v is not None})
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:

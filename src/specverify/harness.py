@@ -3,8 +3,9 @@
 Configs are YAML with a version field, read by one walk over the config
 dataclasses' fields. Each dataclass checks its values in ``__post_init__``, so
 ``dataclasses.replace`` runs the same checks; their errors begin with the
-field name, and the walk prefixes the section's dotted path. All outputs (line-delimited trace files, CSV summary tables) are
-byte-deterministic given the same config.
+field name, and the walk prefixes the section's dotted path. All outputs
+(line-delimited trace files, CSV summary tables) are byte-deterministic given
+the same config.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ CSV_COLUMNS = [
     "mean_steps_before_replan", "mean_steps_before_replan_events_only",
     "guard_hits",
 ]
+
 
 def _named(name: str, check, *args, **kwargs):
     """Run an existing check; its error, or an unknown enum value, names ``name``."""
@@ -149,8 +151,10 @@ class EnvSection:
 
     def __post_init__(self):
         self.episode_config()  # checks the horizon
-        if self.disturbance_level is not None:
-            _named("disturbance_level", DisturbanceConfig.from_level, self.disturbance_level)
+        # A level names the disturbance only while it equals that level's fields.
+        if self.disturbance_level is not None and self.disturbance != _named(
+                "disturbance_level", DisturbanceConfig.from_level, self.disturbance_level):
+            object.__setattr__(self, "disturbance_level", None)
 
     def episode_config(self, disturbance: DisturbanceConfig | None = None) -> EpisodeConfig:
         return EpisodeConfig(horizon=self.horizon, geometry=self.geometry,

@@ -140,6 +140,23 @@ def test_mode_flag_validated_with_dotted_path(tmp_path, capsys):
     assert "controller.mode" in capsys.readouterr().err
 
 
+def test_overridden_level_labelled_custom(tmp_path):
+    """A level whose fields are overridden no longer names the disturbance:
+    the row reads custom and the saved config writes no level."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "env": {"disturbance": {"level": "moderate", "object_drift_prob": 0.9}},
+        "controller": {"mode": "open-loop"},
+        "batch": {"episodes": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+    row = (out / "summary.csv").read_text().splitlines()[1]
+    assert row.split(",")[3] == "custom"
+    saved = yaml.safe_load((out / "config_used.yaml").read_text())
+    assert saved["env"]["disturbance"]["level"] is None
+    assert saved["env"]["disturbance"]["object_drift_prob"] == 0.9
+
+
 @pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {

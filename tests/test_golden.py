@@ -108,10 +108,11 @@ CONFIG_FILES = {
     "moderate": (
         {"env": {"disturbance": {"level": "moderate"}}},
         "eb99fcd9f4b7b4fc48cb7d19645f153d24a54d31e477d52cabf5fd5927bc91e2"),
+    # The override makes the disturbance custom, so the file says `level: null`.
     "moderate_drift_override": (
         {"env": {"horizon": 30, "world_size": 3.0,
                  "disturbance": {"level": "moderate", "object_drift_prob": 0.3}}},
-        "576bc12219e904eac2c00d373c6932b13108f63ee7287436da3fb7b35392eeae"),
+        "bd119cff4bf5b9b80f592573a045a1fd66c80f57dc3f24fa7930cfa20356a4e7"),
     "oracle_overrides": (
         {"verifier": {"kind": "oracle",
                       "training": {"epochs": 50, "boundaries": "first",
