@@ -212,9 +212,9 @@ def _apply(section, data, path: str):
     recurse; unknown keys are rejected, and every error begins with the dotted
     path of the value it concerns.
     """
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):
         raise ConfigurationError(f"{path or 'config root'}: expected a mapping, got {data!r}")
-    data = dict(data)
+    data = dict(data or {})  # an empty YAML section reads as None
     hints = get_type_hints(type(section))
     if isinstance(section, EnvSection):  # these two fields have no key of their own
         section = _apply_env_spelling(section, data, path)
@@ -450,7 +450,7 @@ def read_traces(path):
                 if records[-1].get("type") == "summary":
                     traces.append(EpisodeTrace.from_records(records))
                     records = []
-            except (ValueError, AttributeError) as exc:  # AttributeError: not an object
+            except (ValueError, AttributeError, TypeError) as exc:  # not an object; wrong type
                 raise ConfigurationError(f"{path}:{number}: {exc}") from exc
     if records:
         raise ConfigurationError(f"{path}:{number}: trailing records without a summary line")

@@ -157,7 +157,8 @@ def test_overridden_level_labelled_custom(tmp_path):
     assert saved["env"]["disturbance"]["object_drift_prob"] == 0.9
 
 
-@pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field"))
+@pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field",
+                                    "summary_wrong_type"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -171,8 +172,10 @@ def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     text = path.read_text()
     if damage == "malformed_json":
         text = "{" + text
-    else:
+    elif damage == "summary_missing_field":
         text = text.replace('"executed_steps"', '"executed"')
+    else:
+        text = text.replace('"t_heavy": 1.373', '"t_heavy": "slow"')
     path.write_text(text)
     capsys.readouterr()
     assert main(["report", "--traces-dir", str(out / "traces")]) == 2

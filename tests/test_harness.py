@@ -62,6 +62,10 @@ class TestConfig:
         assert cfg.controller.max_replans == 32
         assert cfg.sweep.taus == (0.1, 0.2, 0.4)
 
+    def test_empty_sections_read_as_defaults(self):
+        assert config_from_dict({"env": None, "planner": None,
+                                 "verifier": {"training": None}}) == ExperimentConfig()
+
     def test_tau_out_of_range(self):
         with pytest.raises(ConfigurationError, match="controller"):
             config_from_dict({"controller": {"tau": 1.5}})
