@@ -290,7 +290,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from exc
-    cfg = config_from_dict(data or {})
+    cfg = config_from_dict(data)
     if cfg.verifier.params_path:
         try:
             open(cfg.verifier.params_path).close()
