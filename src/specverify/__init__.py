@@ -16,7 +16,7 @@ from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner
 from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
                        TrainReport, VerifierParams, VerifierSample,
-                       build_training_set, fuse, load_verifier,
-                       predict_reference, save_verifier, train_verifier)
+                       build_training_set, load_verifier, save_verifier,
+                       train_verifier)
 
 __version__ = "0.1.0"

@@ -62,9 +62,8 @@ def cmd_run(args) -> int:
     reference = reference_batch(cfg)
     write_traces(out / "traces.jsonl", traces)
     write_traces(out / "reference_traces.jsonl", reference)
-    row = aggregate(traces, reference, label={
-        "mode": cfg.controller.mode, "chunk_size": cfg.planner.chunk_size,
-        "tau": cfg.controller.tau, "disturbance": cfg.env.disturbance_level or "custom"})
+    row = aggregate(traces, reference,
+                    label={"disturbance": cfg.env.disturbance_level or "custom"})
     csv_text = rows_to_csv([row])
     (out / "summary.csv").write_text(csv_text)
     save_config(cfg, out / "config_used.yaml")
@@ -106,10 +105,7 @@ def cmd_report(args) -> int:
         level = name.rsplit("_", 1)[-1]
         if level not in references:
             raise ConfigurationError(f"no reference traces for cell {name}")
-        first = traces[0]
-        rows.append(aggregate(traces, references[level], label={
-            "mode": first.mode, "chunk_size": first.chunk_size,
-            "tau": first.tau, "disturbance": level}))
+        rows.append(aggregate(traces, references[level], label={"disturbance": level}))
     print(rows_to_csv(rows), end="")
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -125,15 +126,27 @@ class EpisodeTrace:
 
     @classmethod
     def from_records(cls, records: list) -> "EpisodeTrace":
-        """Rebuild a trace from its parsed records, the summary record last."""
+        """Rebuild a trace from its parsed records, the summary record last,
+        checking the summary's step count, verifier calls (sv modes) and
+        simulated time against the records and the accounting identity."""
         summary = records[-1]
         if summary.get("type") != "summary":
             raise ConfigurationError("trace lacks a summary record")
         missing = [k for k in _SUMMARY_FIELDS + _LATENCY_FIELDS if k not in summary]
         if missing:
             raise ConfigurationError(f"summary record lacks {missing}")
-        return cls(latency=LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS}),
-                   records=records[:-1], **{k: summary[k] for k in _SUMMARY_FIELDS})
+        trace = cls(latency=LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS}),
+                    records=records[:-1], **{k: summary[k] for k in _SUMMARY_FIELDS})
+        kinds = Counter(r.get("type") for r in trace.records)
+        checks = {"executed_steps": kinds["step"]}
+        if ControllerMode(trace.mode).is_sv:
+            checks["verifier_calls"] = kinds["decision"]
+        checks["simulated_inference_time"] = trace.simulated_inference_time
+        for name, expected in checks.items():
+            if summary.get(name) != expected:
+                raise ConfigurationError(
+                    f"summary {name} is {summary.get(name)!r}, expected {expected!r}")
+        return trace
 
 
 def _state_hash(state) -> str:
@@ -187,27 +200,17 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
         trace.heavy_calls += 1
         return planner.plan(obs, goal, max_len=horizon - env.state.step)
 
-    zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
-    zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
-
-    if mode is ControllerMode.OPEN_LOOP:
-        while not env.success() and env.state.step < horizon:
-            out = plan()
-            executed = 0
-            for action in out.chunk:
-                execute(action)
-                executed += 1
-                if env.success() or env.state.step >= horizon:
-                    break
-            trace.completed_chunk_lengths.append(executed)
-    elif mode is ControllerMode.VERIFIER_ONLY:
+    if mode is ControllerMode.VERIFIER_ONLY:
         out = plan()
         execute(out.chunk[0])
         while not env.success() and env.state.step < horizon:
             trace.verifier_calls += 1
             ref = verifier.reference(obs, out.context, true_state=env.state)
             execute(ref)
-    else:  # sv and its input ablations
+    else:  # sv and its input ablations; open-loop is sv with verification off
+        verify = mode.is_sv
+        zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
+        zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
         while not env.success() and env.state.step < horizon:
             out = plan()
             execute(out.chunk[0])
@@ -216,28 +219,27 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
             for i in range(1, len(out.chunk)):
                 if env.success() or env.state.step >= horizon:
                     break
-                trace.verifier_calls += 1
-                ref = verifier.reference(obs, out.context, true_state=env.state,
-                                         zero_context=zero_ctx, zero_observation=zero_obs)
-                decision = decide(out.chunk[i], ref, space, threshold.tau)
-                trace.records.append({
-                    "type": "decision",
-                    "step": env.state.step,
-                    "accept": decision.accept,
-                    "score": decision.score,
-                })
-                if decision.accept:
-                    execute(out.chunk[i])
-                    executed_in_chunk += 1
-                else:
-                    if trace.replans >= threshold.max_replans:
-                        trace.guard_hit = True
+                if verify:
+                    trace.verifier_calls += 1
+                    ref = verifier.reference(obs, out.context, true_state=env.state,
+                                             zero_context=zero_ctx, zero_observation=zero_obs)
+                    decision = decide(out.chunk[i], ref, space, threshold.tau)
+                    trace.records.append({
+                        "type": "decision",
+                        "step": env.state.step,
+                        "accept": decision.accept,
+                        "score": decision.score,
+                    })
+                    if not decision.accept:
+                        if trace.replans >= threshold.max_replans:
+                            trace.guard_hit = True
+                        else:
+                            trace.replans += 1
+                            trace.steps_before_replan.append(executed_in_chunk)
                         aborted = True
                         break
-                    trace.replans += 1
-                    trace.steps_before_replan.append(executed_in_chunk)
-                    aborted = True
-                    break
+                execute(out.chunk[i])
+                executed_in_chunk += 1
             if trace.guard_hit:
                 break
             if not aborted:

@@ -382,13 +382,19 @@ def _mean(xs):
 
 
 def aggregate(traces, reference_traces, label: dict | None = None) -> dict:
-    """One metrics row. steps_before_replan mixes replan events with the
-    completed chunk lengths of episodes that never replanned; the events-only
-    variant is emitted alongside."""
+    """One metrics row, labelled with the mode, chunk size and tau the traces
+    share, then with ``label``. steps_before_replan mixes replan events with
+    the completed chunk lengths of episodes that never replanned; the
+    events-only variant is emitted alongside."""
     if not traces or not reference_traces:
         raise ConfigurationError("aggregate requires nonempty trace sets")
     if len(traces) != len(reference_traces):
         raise ConfigurationError("reference set must share the episode count")
+    cells = {(t.mode, t.chunk_size, t.tau) for t in traces}
+    if len(cells) > 1:
+        raise ConfigurationError(
+            f"one row needs one (mode, chunk_size, tau), got {sorted(cells, key=str)}")
+    (mode, chunk_size, tau), = cells
     mixed = []
     events_only = []
     for tr in traces:
@@ -397,6 +403,7 @@ def aggregate(traces, reference_traces, label: dict | None = None) -> dict:
         if not tr.steps_before_replan:
             mixed.extend(tr.completed_chunk_lengths)
     row = {
+        "mode": mode, "chunk_size": chunk_size, "tau": tau,
         "episodes": len(traces),
         "success_rate": sum(t.success for t in traces) / len(traces),
         "mean_heavy_calls": _mean([t.heavy_calls for t in traces]),
@@ -440,8 +447,9 @@ def write_traces(path, traces) -> None:
 
 def read_traces(path):
     """Traces from a file written by ``write_traces``; each line is parsed once
-    and a summary record closes its episode. A damaged file raises
-    ConfigurationError naming the file and line."""
+    and a summary record closes its episode, whose counters are re-checked
+    against its records. A damaged or empty file raises ConfigurationError
+    naming the file (and the line)."""
     traces, records = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -454,6 +462,8 @@ def read_traces(path):
                 raise ConfigurationError(f"{path}:{number}: {exc}") from exc
     if records:
         raise ConfigurationError(f"{path}:{number}: trailing records without a summary line")
+    if not traces:
+        raise ConfigurationError(f"{path}: holds no traces")
     return traces
 
 
@@ -496,7 +506,6 @@ def run_sweep(cfg: ExperimentConfig):
                     name = f"{mode}_K{k}" + (f"_tau{tau}" if tau is not None else "") \
                         + f"_{level}"
                     cells[name] = traces
-                    rows.append(aggregate(traces, references[level], label={
-                        "mode": mode, "chunk_size": k, "tau": tau,
-                        "disturbance": level}))
+                    rows.append(aggregate(traces, references[level],
+                                          label={"disturbance": level}))
     return rows, cells, references

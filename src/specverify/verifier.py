@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError, ContractViolation
-from .env import EpisodeConfig, ToyEnv, expert_action, render_observation
+from .core import ActionSpace, ConfigurationError
+from .env import EpisodeConfig, ToyEnv, expert_action
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -67,14 +67,9 @@ class ObservationEncoder:
     def obs_dim(self) -> int:
         return self.weights.shape[1]
 
-    def encode(self, obs: np.ndarray) -> np.ndarray:
-        if obs.size != self.obs_dim:
-            raise ContractViolation(
-                f"observation width {obs.size} != encoder input {self.obs_dim}")
-        return np.tanh(self.weights @ obs + self.bias)
-
-    def encode_batch(self, obs_matrix: np.ndarray) -> np.ndarray:
-        return np.tanh(obs_matrix @ self.weights.T + self.bias)
+    def encode_batch(self, obs: np.ndarray) -> np.ndarray:
+        """Features of one observation vector, or of each row of a matrix."""
+        return np.tanh(obs @ self.weights.T + self.bias)
 
 
 @dataclass(eq=False)
@@ -127,23 +122,6 @@ class VerifierParams:
         return out
 
 
-def fuse(visual: np.ndarray, context: np.ndarray, params: VerifierParams) -> np.ndarray:
-    """Concatenate visual and context vectors, apply the fusion layer."""
-    x = np.concatenate([visual, context])
-    if x.size != params.input_width:
-        raise ContractViolation(
-            f"fusion input width {x.size} != params width {params.input_width}")
-    return np.tanh(params.w_fuse @ x + params.b_fuse)
-
-
-def predict_reference(fused: np.ndarray, params: VerifierParams,
-                      space: ActionSpace) -> np.ndarray:
-    """Head affine map to a reference action, clamped into the action space."""
-    if fused.size != params.fused_width:
-        raise ContractViolation("fused feature width mismatch")
-    return space.clamp(params.w_head @ fused + params.b_head)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -169,11 +147,17 @@ def _as_matrices(samples):
     return obs, ctx, tgt
 
 
-def _forward(params: VerifierParams, x: np.ndarray, tgt: np.ndarray, out=None):
-    """Hidden layer (into ``out`` if given), prediction error and mean L1 loss."""
+def _fused(params: VerifierParams, x: np.ndarray, out=None) -> np.ndarray:
+    """Fusion layer of one fused (visual, context) input, or of each row of a
+    matrix of them (into ``out`` if given)."""
     z = np.matmul(x, params.w_fuse.T, out=out)
     z += params.b_fuse
-    np.tanh(z, out=z)
+    return np.tanh(z, out=z)
+
+
+def _forward(params: VerifierParams, x: np.ndarray, tgt: np.ndarray, out=None):
+    """Hidden layer (into ``out`` if given), prediction error and mean L1 loss."""
+    z = _fused(params, x, out)
     diff = z @ params.w_head.T + params.b_head - tgt
     return z, diff, float(np.abs(diff).sum() / x.shape[0])
 
@@ -250,19 +234,16 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     for ep in range(episodes):
         env = ToyEnv(config, seed=seed + ep)
         obs = env.reset()
-        t = 0
-        while t < config.horizon and not env.success():
-            out = planner.plan(obs, env.state.goal_pos, max_len=config.horizon - t)
+        while env.state.step < config.horizon and not env.success():
+            out = planner.plan(obs, env.state.goal_pos,
+                               max_len=config.horizon - env.state.step)
             for i, action in enumerate(out.chunk):
                 if env.success():
                     break
                 if i >= 1:
-                    samples.append(VerifierSample(
-                        observation=render_observation(env.state),
-                        context=out.context,
-                        target=expert_action(env.state, geom)))
+                    samples.append(VerifierSample(observation=obs, context=out.context,
+                                                  target=expert_action(env.state, geom)))
                 obs = env.step(action)
-                t += 1
             if boundaries == "first":
                 break
     return samples
@@ -284,13 +265,15 @@ class TrainedVerifier:
 
     def reference(self, obs: np.ndarray, context: np.ndarray, true_state=None,
                   zero_context: bool = False, zero_observation: bool = False) -> np.ndarray:
-        visual = self.encoder.encode(obs)
-        if zero_observation:
-            visual = np.zeros_like(visual)
+        """Head of the fusion layer, clamped into the action space; widths
+        were checked where the parameters entered (``load_verifier`` and the
+        harness's ``build_verifier``)."""
+        visual = (np.zeros(self.encoder.width) if zero_observation
+                  else self.encoder.encode_batch(obs))
         if zero_context:
             context = np.zeros_like(context)
-        fused = fuse(visual, context, self.params)
-        return predict_reference(fused, self.params, self.space)
+        fused = _fused(self.params, np.concatenate([visual, context]))
+        return self.space.clamp(self.params.w_head @ fused + self.params.b_head)
 
 
 class OracleVerifier:

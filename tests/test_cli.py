@@ -44,6 +44,22 @@ def test_run_mode_override_without_verifier(tmp_path):
     assert text.splitlines()[1].startswith("open-loop,")
 
 
+def test_run_open_loop_row_matches_report(tmp_path, capsys):
+    """An open-loop row has no tau, in `run` as in `report` over its traces."""
+    out = tmp_path / "out"
+    assert main(["run", "--mode", "open-loop", "--episodes", "3",
+                 "--disturbance", "off", "--output-dir", str(out)]) == 0
+    row = (out / "summary.csv").read_text().splitlines()[1]
+    assert row.startswith("open-loop,16,,off,3,")
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (out / "traces.jsonl").rename(traces / "open-loop_off.jsonl")
+    (out / "reference_traces.jsonl").rename(traces / "reference_off.jsonl")
+    capsys.readouterr()
+    assert main(["report", "--traces-dir", str(traces)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
 def test_sweep_and_report_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -158,7 +174,8 @@ def test_overridden_level_labelled_custom(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field",
-                                    "summary_wrong_type"))
+                                    "summary_wrong_type", "summary_disagrees",
+                                    "empty_file"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -174,6 +191,10 @@ def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
         text = "{" + text
     elif damage == "summary_missing_field":
         text = text.replace('"executed_steps"', '"executed"')
+    elif damage == "summary_disagrees":
+        text = text.replace('"executed_steps": ', '"executed_steps": 1')
+    elif damage == "empty_file":
+        text = ""
     else:
         text = text.replace('"t_heavy": 1.373', '"t_heavy": "slow"')
     path.write_text(text)

@@ -1,7 +1,9 @@
 """Harness tests: config schema, batch determinism, aggregation, sweeps."""
+import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -174,6 +176,20 @@ class TestAggregate:
         reloaded = read_traces(path)
         assert aggregate(reloaded, reloaded) == aggregate(traces, traces)
 
+    def test_labels_come_from_traces(self):
+        """Mode, chunk size and tau come from the traces; ``label`` adds the rest."""
+        traces = run_batch(oracle_config(), mode="open-loop", chunk_size=4, episodes=3)
+        row = aggregate(traces, traces, label={"disturbance": "off"})
+        assert (row["mode"], row["chunk_size"], row["tau"], row["disturbance"]) == \
+            ("open-loop", 4, None, "off")
+
+    def test_mixed_traces_rejected(self):
+        cfg = oracle_config()
+        traces = (run_batch(cfg, tau=0.2, episodes=2)
+                  + run_batch(cfg, tau=0.4, episodes=2))
+        with pytest.raises(ConfigurationError, match="one row needs one"):
+            aggregate(traces, traces)
+
     def test_csv_rendering(self):
         traces = run_batch(oracle_config())
         row = aggregate(traces, traces,
@@ -245,4 +261,24 @@ class TestTraceFiles:
         path.write_text("".join(lines))
         with pytest.raises(ConfigurationError,
                            match=rf"{re.escape(str(path))}:{end + 1}: .*replans"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("field", ("executed_steps", "verifier_calls",
+                                       "simulated_inference_time"))
+    def test_summary_disagreeing_with_records_names_file_and_line(self, trace_file, field):
+        """Each counter a summary stores is re-checked on read: the step count
+        and the verifier calls against the records, the simulated time against
+        the accounting identity, exactly (one ulp off fails)."""
+        path, lines = trace_file
+        end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+        summary = json.loads(lines[end])
+        assert summary["mode"] == "sv"
+        if field == "simulated_inference_time":
+            summary[field] = float(np.nextafter(summary[field], np.inf))
+        else:
+            summary[field] += 1
+        lines[end] = json.dumps(summary, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{end + 1}: summary {field} is"):
             read_traces(path)

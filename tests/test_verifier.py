@@ -2,15 +2,14 @@
 import numpy as np
 import pytest
 
-from specverify.core import ConfigurationError, ContractViolation
+from specverify.core import ConfigurationError
 from specverify.env import OBS_DIM, EpisodeConfig, Geometry
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  TrainedVerifier, VerifierParams,
-                                 VerifierSample, _as_matrices,
-                                 build_training_set, fuse, load_verifier,
-                                 loss_and_grads, mean_l1_loss,
-                                 predict_reference, save_verifier,
+                                 VerifierSample, _as_matrices, _fused,
+                                 build_training_set, load_verifier,
+                                 loss_and_grads, mean_l1_loss, save_verifier,
                                  train_verifier)
 
 
@@ -51,21 +50,20 @@ class TestEncoder:
 
     def test_encode_bounded_and_deterministic(self, encoder):
         obs = np.linspace(0, 2, OBS_DIM)
-        v1 = encoder.encode(obs)
-        v2 = encoder.encode(obs)
+        v1 = encoder.encode_batch(obs)
+        v2 = encoder.encode_batch(obs)
+        assert v1.shape == (encoder.width,)
         np.testing.assert_array_equal(v1, v2)
         assert np.all(np.abs(v1) <= 1.0)
 
     def test_encode_batch_matches_single(self, encoder):
+        """Rows of a matrix agree with one-vector calls up to rounding (a
+        multi-row product is not bit-identical to a matrix-vector one)."""
         rng = np.random.default_rng(4)
         obs_matrix = rng.uniform(0, 2, size=(5, OBS_DIM))
         batch = encoder.encode_batch(obs_matrix)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], encoder.encode(obs_matrix[i]))
-
-    def test_dimension_mismatch(self, encoder):
-        with pytest.raises(ContractViolation):
-            encoder.encode(np.zeros(OBS_DIM + 1))
+            np.testing.assert_allclose(batch[i], encoder.encode_batch(obs_matrix[i]))
 
     def test_same_seed_same_encoder(self):
         a = ObservationEncoder.create(OBS_DIM, 64, seed=9)
@@ -77,23 +75,44 @@ class TestEncoder:
 class TestForward:
     def test_fuse_and_predict_shapes(self, encoder, geometry):
         params = VerifierParams.create(encoder.width, 16, 32, 3, seed=1)
-        visual = encoder.encode(np.zeros(OBS_DIM))
-        fused = fuse(visual, np.zeros(16), params)
-        assert fused.shape == (32,)
-        action = predict_reference(fused, params, geometry.action_space())
-        assert action.shape == (3,)
+        x = np.zeros(encoder.width + 16)
+        assert _fused(params, x).shape == (32,)
+        assert _fused(params, np.stack([x] * 5)).shape == (5, 32)
+        ver = TrainedVerifier(encoder, params, geometry.action_space())
+        assert ver.reference(np.zeros(OBS_DIM), np.zeros(16)).shape == (3,)
 
-    def test_prediction_clamped_to_space(self, geometry):
+    def test_prediction_clamped_to_space(self, encoder, geometry):
         space = geometry.action_space()
-        params = VerifierParams.create(4, 4, 8, 3, seed=1)
+        params = VerifierParams.create(encoder.width, 4, 8, 3, seed=1)
         params.b_head[:] = [99.0, -99.0, 99.0]
-        action = predict_reference(np.zeros(8), params, space)
+        action = TrainedVerifier(encoder, params, space).reference(
+            np.linspace(0, 1, OBS_DIM), np.ones(4))
         np.testing.assert_allclose(action, [0.25, -0.25, 1.0])
 
-    def test_fuse_width_mismatch(self, encoder):
-        params = VerifierParams.create(encoder.width, 16, 32, 3, seed=1)
-        with pytest.raises(ContractViolation):
-            fuse(np.zeros(encoder.width), np.zeros(20), params)
+    @pytest.mark.parametrize("zero_context,zero_observation",
+                             ((False, False), (True, False), (False, True)))
+    def test_reference_matches_per_vector_formula(self, encoder, geometry,
+                                                  zero_context, zero_observation):
+        """The shared fusion layer gives inference the same bits as the
+        per-vector formula written out here, on 1,000 random inputs."""
+        space = geometry.action_space()
+        rng = np.random.default_rng(11)
+        params = VerifierParams.create(encoder.width, 16, 128, 3, seed=7)
+        params.b_fuse[:] = rng.normal(0.0, 0.5, params.fused_width)
+        params.b_head[:] = rng.normal(0.0, 0.1, 3)
+        ver = TrainedVerifier(encoder, params, space)
+        for _ in range(1000):
+            obs = rng.uniform(-0.5, 2.5, OBS_DIM)
+            ctx = rng.normal(size=16)
+            visual = np.tanh(encoder.weights @ obs + encoder.bias)
+            if zero_observation:
+                visual = np.zeros_like(visual)
+            fused_in = np.concatenate([visual, np.zeros(16) if zero_context else ctx])
+            fused = np.tanh(params.w_fuse @ fused_in + params.b_fuse)
+            expected = space.clamp(params.w_head @ fused + params.b_head)
+            got = ver.reference(obs, ctx, zero_context=zero_context,
+                                zero_observation=zero_observation)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestDataset:
