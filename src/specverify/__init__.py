@@ -9,8 +9,7 @@ a threshold. A seeded harness measures the efficiency/robustness trade-off.
 from .core import (ActionSpace, ConfigurationError, ContractViolation,
                    deviation_score)
 from .controller import (ControllerMode, Decision, EpisodeTrace, LatencyModel,
-                         ThresholdConfig, cost_bounds, decide,
-                         observed_per_step_cost, run_episode)
+                         ThresholdConfig, cost_bounds, decide, run_episode)
 from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
                   expert_action, is_success, render_observation, transition)
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError, ContractViolation, deviation_score
+from .core import ActionSpace, ConfigurationError, deviation_score
 from .env import ToyEnv
 
 
@@ -150,8 +150,8 @@ class EpisodeTrace:
 
 
 def _state_hash(state) -> str:
-    payload = repr((state.agent_pos.tolist(), state.object_pos.tolist(),
-                    state.goal_pos.tolist(), state.gripper, state.step))
+    payload = repr((list(state.agent_pos), list(state.object_pos),
+                    list(state.goal_pos), state.gripper, state.step))
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
@@ -161,12 +161,6 @@ def cost_bounds(latency: LatencyModel, chunk_size: int):
         raise ConfigurationError("chunk size must be >= 1")
     return (latency.t_heavy / chunk_size + latency.t_verify,
             latency.t_heavy + latency.t_verify)
-
-
-def observed_per_step_cost(trace: EpisodeTrace) -> float:
-    if trace.executed_steps < 1:
-        raise ContractViolation("per-step cost undefined for zero executed steps")
-    return trace.simulated_inference_time / trace.executed_steps
 
 
 def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,

@@ -1,7 +1,7 @@
 """Errors, the action box, and the deviation score shared across the package.
 
-Vectors inside the episode loop are plain float64 arrays; input is validated
-where it enters the program (config, parameter file, score).
+Vectors that cross module boundaries are plain float64 arrays; input is
+validated where it enters the program (config, parameter file, score).
 """
 from __future__ import annotations
 

@@ -93,16 +93,13 @@ class EpisodeConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnvState:
-    agent_pos: np.ndarray
-    object_pos: np.ndarray
-    goal_pos: np.ndarray
+    """Positions are (x, y) float pairs; arrays appear only in observations."""
+
+    agent_pos: tuple
+    object_pos: tuple
+    goal_pos: tuple
     gripper: int
     step: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "agent_pos", np.asarray(self.agent_pos, dtype=np.float64))
-        object.__setattr__(self, "object_pos", np.asarray(self.object_pos, dtype=np.float64))
-        object.__setattr__(self, "goal_pos", np.asarray(self.goal_pos, dtype=np.float64))
 
     @property
     def holding(self) -> bool:
@@ -111,16 +108,11 @@ class EnvState:
 
 def render_observation(state: EnvState) -> np.ndarray:
     """Deterministic feature-vector rendering of a state (see OBS layout above)."""
-    return np.concatenate([
-        state.agent_pos,
-        state.object_pos,
-        state.object_pos - state.agent_pos,
-        [float(state.gripper)],
-    ])
+    (ax, ay), (ox, oy) = state.agent_pos, state.object_pos
+    return np.array([ax, ay, ox, oy, ox - ax, oy - ay, float(state.gripper)])
 
 
-def state_from_observation(f: np.ndarray, goal: np.ndarray,
-                           atol: float = 1e-9) -> EnvState:
+def state_from_observation(f: np.ndarray, goal, atol: float = 1e-9) -> EnvState:
     """Reconstruct the full state from an observation vector plus the task goal.
 
     The observation carries no step counter, so the state starts at step 0.
@@ -137,8 +129,8 @@ def state_from_observation(f: np.ndarray, goal: np.ndarray,
         raise ContractViolation(f"invalid gripper flag {flag}")
     if gripper == GRIPPER_HOLDING and not (_close(ox, ax, atol) and _close(oy, ay, atol)):
         raise ContractViolation("holding gripper requires object at agent position")
-    return EnvState(agent_pos=f[0:2], object_pos=f[2:4],
-                    goal_pos=np.asarray(goal, dtype=np.float64), gripper=gripper, step=0)
+    return EnvState(agent_pos=(ax, ay), object_pos=(ox, oy),
+                    goal_pos=(float(goal[0]), float(goal[1])), gripper=gripper, step=0)
 
 
 def _close(a: float, b: float, atol: float) -> bool:
@@ -146,34 +138,42 @@ def _close(a: float, b: float, atol: float) -> bool:
     return abs(a - b) <= atol + 1e-5 * abs(b)
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    """np.clip of one float, signed zeros and NaN included."""
+    return lo if v < lo else hi if v > hi else v
+
+
+def _within(dx: float, dy: float, radius: float) -> bool:
+    """``np.linalg.norm([dx, dy]) <= radius``. numpy's norm fuses a multiply-add,
+    so it can differ from ``sqrt(dx*dx + dy*dy)`` in the last bit; within
+    rounding of the radius, numpy decides."""
+    d2, r2 = dx * dx + dy * dy, radius * radius
+    if abs(d2 - r2) > 1e-9 * r2:
+        return d2 < r2
+    return float(np.linalg.norm([dx, dy])) <= radius
+
+
 def is_success(state: EnvState, geom: Geometry) -> bool:
     """Object placed within the success radius of the goal, gripper released."""
-    dist = float(np.linalg.norm(state.object_pos - state.goal_pos))
-    return dist <= geom.success_radius and state.gripper == GRIPPER_OPEN
+    (ox, oy), (gx, gy) = state.object_pos, state.goal_pos
+    return state.gripper == GRIPPER_OPEN and _within(ox - gx, oy - gy, geom.success_radius)
 
 
-def expert_action(state: EnvState, geom: Geometry) -> np.ndarray:
+def expert_action(state: EnvState, geom: Geometry) -> tuple:
     """Phase-appropriate greedy action: approach, grasp, carry, release.
 
-    Deterministic function of the state; each movement component is clamped to
-    the per-step bound, so the agent lands exactly on targets in the
-    disturbance-free environment.
+    Deterministic function of the state, as a (dx, dy, grasp) float triple;
+    each movement component is clamped to the per-step bound, so the agent
+    lands exactly on targets in the disturbance-free environment.
     """
-    space = geom.action_space()
-    bound = geom.step_bound
-    if state.holding:
-        delta = state.goal_pos - state.agent_pos
-        if float(np.linalg.norm(delta)) <= geom.success_radius:
-            return space.clamp([0.0, 0.0, 1.0])  # release
-        move = np.clip(delta, -bound, bound)
-        return space.clamp([move[0], move[1], 0.0])
-    if is_success(state, geom):
-        return space.clamp([0.0, 0.0, 0.0])
-    delta = state.object_pos - state.agent_pos
-    if float(np.linalg.norm(delta)) <= geom.grasp_radius:
-        return space.clamp([0.0, 0.0, 1.0])  # grasp
-    move = np.clip(delta, -bound, bound)
-    return space.clamp([move[0], move[1], 0.0])
+    if not state.holding and is_success(state, geom):
+        return (0.0, 0.0, 0.0)
+    ax, ay = state.agent_pos
+    tx, ty = state.goal_pos if state.holding else state.object_pos
+    if _within(tx - ax, ty - ay, geom.success_radius if state.holding else geom.grasp_radius):
+        return (0.0, 0.0, 1.0)  # release at the goal, grasp at the object
+    b = geom.step_bound
+    return (_clip(tx - ax, -b, b), _clip(ty - ay, -b, b), 0.0)
 
 
 def transition(state: EnvState, action, geom: Geometry, noise=None,
@@ -189,18 +189,20 @@ def transition(state: EnvState, action, geom: Geometry, noise=None,
     dx, dy, grasp = action
     if noise is not None:
         dx, dy = dx + noise[0], dy + noise[1]
-    agent = np.clip(state.agent_pos + [dx, dy], 0.0, geom.world_size)
-    obj = agent.copy() if state.holding else state.object_pos.copy()
+    wall = float(geom.world_size)
+    ax, ay = state.agent_pos
+    agent = (_clip(ax + dx, 0.0, wall), _clip(ay + dy, 0.0, wall))
+    obj = agent if state.holding else state.object_pos
     gripper = state.gripper
     if grasp > 0.5:
         if gripper == GRIPPER_HOLDING:
             gripper = GRIPPER_OPEN
-        elif (float(np.linalg.norm(agent - obj)) <= geom.grasp_radius
+        elif (_within(agent[0] - obj[0], agent[1] - obj[1], geom.grasp_radius)
               and (grasp_ok is None or grasp_ok())):
             gripper = GRIPPER_HOLDING
-            obj = agent.copy()
+            obj = agent
     if drift is not None:
-        obj = np.clip(obj + drift, 0.0, geom.world_size)
+        obj = (_clip(obj[0] + drift[0], 0.0, wall), _clip(obj[1] + drift[1], 0.0, wall))
         gripper = GRIPPER_OPEN
     return EnvState(agent_pos=agent, object_pos=obj, goal_pos=state.goal_pos,
                     gripper=gripper, step=state.step + 1)
@@ -252,23 +254,25 @@ class ToyEnv:
             goal = self._rng_init.uniform(lo, hi, size=2)
             if np.linalg.norm(goal - obj) >= 0.7:
                 break
-        return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal,
-                        gripper=GRIPPER_OPEN, step=0)
+        return EnvState(agent_pos=tuple(agent.tolist()), object_pos=tuple(obj.tolist()),
+                        goal_pos=tuple(goal.tolist()), gripper=GRIPPER_OPEN, step=0)
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, action: np.ndarray) -> np.ndarray:
+    def step(self, action) -> np.ndarray:
         """Advance one control step, applying configured disturbances."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
         dist = self.config.disturbance
         noise = drift = None
         if dist.actuation_noise_sigma > 0:
-            noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2)
+            noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2).tolist()
         if dist.object_drift_prob > 0 and self._rng_drift.uniform() < dist.object_drift_prob:
             angle = self._rng_drift.uniform(0.0, 2.0 * math.pi)
-            drift = dist.object_drift_magnitude * np.array([math.cos(angle), math.sin(angle)])
+            m = dist.object_drift_magnitude
+            drift = (m * math.cos(angle), m * math.sin(angle))
         grasp_ok = self._grasp_succeeds if dist.grasp_failure_prob > 0 else None
+        action = np.asarray(action, dtype=np.float64).tolist()
         self.state = transition(self.state, action, self.geom, noise, grasp_ok, drift)
         return render_observation(self.state)
 

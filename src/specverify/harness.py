@@ -450,16 +450,20 @@ def read_traces(path):
     and a summary record closes its episode, whose counters are re-checked
     against its records. A damaged or empty file raises ConfigurationError
     naming the file (and the line)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not text
+        raise ConfigurationError(f"{path}: cannot read: {getattr(exc, 'strerror', exc)}") from exc
     traces, records = [], []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                records.append(json.loads(line))
-                if records[-1].get("type") == "summary":
-                    traces.append(EpisodeTrace.from_records(records))
-                    records = []
-            except (ValueError, AttributeError, TypeError) as exc:  # not an object; wrong type
-                raise ConfigurationError(f"{path}:{number}: {exc}") from exc
+    for number, line in enumerate(lines, 1):
+        try:
+            records.append(json.loads(line))
+            if records[-1].get("type") == "summary":
+                traces.append(EpisodeTrace.from_records(records))
+                records = []
+        except (ValueError, AttributeError, TypeError) as exc:  # not an object; wrong type
+            raise ConfigurationError(f"{path}:{number}: {exc}") from exc
     if records:
         raise ConfigurationError(f"{path}:{number}: trailing records without a summary line")
     if not traces:

@@ -40,7 +40,7 @@ class NominalRolloutPlanner:
         self.chunk_size = chunk_size
         self.context_width = context_width
 
-    def plan(self, obs: np.ndarray, goal: np.ndarray,
+    def plan(self, obs: np.ndarray, goal,
              max_len: int | None = None) -> PlannerOutput:
         """Produce a chunk of min(K, max_len) expert actions plus the context.
 
@@ -59,17 +59,15 @@ class NominalRolloutPlanner:
                              context=self._context_vector(state, rollout))
 
     def _context_vector(self, start: EnvState, end: EnvState) -> np.ndarray:
-        base = np.concatenate([
-            start.goal_pos,
-            start.object_pos,
-            start.agent_pos,
-            [float(start.gripper)],
-            end.agent_pos,
-            [float(end.gripper)],
-            [float(is_success(end, self.geom)), float(np.linalg.norm(end.object_pos - end.goal_pos))],
-        ])
+        (ox, oy), (gx, gy) = end.object_pos, end.goal_pos
         vec = np.zeros(self.context_width)
-        vec[:base.size] = base
+        vec[:_CONTEXT_BASE_WIDTH] = [
+            *start.goal_pos, *start.object_pos, *start.agent_pos, float(start.gripper),
+            *end.agent_pos, float(end.gripper), float(is_success(end, self.geom)),
+            # numpy's norm, not the scalar one: this value reaches the verifier,
+            # and numpy's fused dot rounds differently in the last bit.
+            float(np.linalg.norm([ox - gx, oy - gy])),
+        ]
         return vec
 
 

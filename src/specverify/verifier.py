@@ -242,7 +242,7 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
                     break
                 if i >= 1:
                     samples.append(VerifierSample(observation=obs, context=out.context,
-                                                  target=expert_action(env.state, geom)))
+                                                  target=np.array(expert_action(env.state, geom))))
                 obs = env.step(action)
             if boundaries == "first":
                 break
@@ -285,7 +285,7 @@ class OracleVerifier:
     def reference(self, obs, context, true_state=None, **_ignored) -> np.ndarray:
         if true_state is None:
             raise ConfigurationError("oracle verifier needs the true environment state")
-        return expert_action(true_state, self.geom)
+        return np.array(expert_action(true_state, self.geom))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from specverify.controller import (ControllerMode, LatencyModel,
-                                   ThresholdConfig, cost_bounds, decide,
-                                   observed_per_step_cost, run_episode)
+                                   ThresholdConfig, cost_bounds, decide, run_episode)
 from specverify.core import ActionSpace
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
                             ToyEnv)
@@ -97,7 +96,7 @@ def test_criterion_2_accounting_identity():
                                 == tr.heavy_calls * lat.t_heavy
                                 + tr.verifier_calls * lat.t_verify)
                     lo, hi = cost_bounds(lat, k)
-                    cost = observed_per_step_cost(tr)
+                    cost = tr.simulated_inference_time / tr.executed_steps
                     member = (lo - lat.t_verify / k - 1e-12 <= cost
                               <= hi + 1e-12)
                     ok = ok and identity and member

@@ -175,7 +175,7 @@ def test_overridden_level_labelled_custom(tmp_path):
 
 @pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field",
                                     "summary_wrong_type", "summary_disagrees",
-                                    "empty_file"))
+                                    "empty_file", "directory_named_jsonl", "not_utf8"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -195,9 +195,15 @@ def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
         text = text.replace('"executed_steps": ', '"executed_steps": 1')
     elif damage == "empty_file":
         text = ""
-    else:
+    elif damage == "summary_wrong_type":
         text = text.replace('"t_heavy": 1.373', '"t_heavy": "slow"')
-    path.write_text(text)
+    if damage == "directory_named_jsonl":
+        path.unlink()
+        path.mkdir()
+    elif damage == "not_utf8":
+        path.write_bytes(b"\xff" + text.encode())
+    else:
+        path.write_text(text)
     capsys.readouterr()
     assert main(["report", "--traces-dir", str(out / "traces")]) == 2
     assert f"configuration error: {path}:" in capsys.readouterr().err

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.core import ActionSpace, ConfigurationError, ContractViolation
+from specverify.core import ActionSpace, ConfigurationError
 from specverify.controller import (ControllerMode, EpisodeTrace, LatencyModel,
-                                   ThresholdConfig, cost_bounds, decide,
-                                   observed_per_step_cost, run_episode)
+                                   ThresholdConfig, cost_bounds, decide, run_episode)
 from specverify.env import (GRIPPER_HOLDING, DisturbanceConfig, EnvState,
                             EpisodeConfig, Geometry, ToyEnv)
 from specverify.planner import NominalRolloutPlanner
@@ -109,17 +108,11 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             cost_bounds(LatencyModel(), 0)
 
-    def test_per_step_cost_requires_steps(self):
-        tr = EpisodeTrace(seed=0, mode="sv", chunk_size=4, tau=0.2,
-                          latency=LatencyModel())
-        with pytest.raises(ContractViolation):
-            observed_per_step_cost(tr)
-
     def test_per_step_cost_accounting(self):
         tr = EpisodeTrace(seed=0, mode="open-loop", chunk_size=4, tau=None,
                           latency=LatencyModel(t_heavy=1.0, t_verify=0.1))
         tr.heavy_calls, tr.executed_steps = 1, 4
-        assert observed_per_step_cost(tr) == pytest.approx(0.25)
+        assert tr.simulated_inference_time / tr.executed_steps == pytest.approx(0.25)
 
 
 def clean_env(horizon=40, seed=0, disturbance=None):
@@ -220,7 +213,7 @@ class TestEpisodeLoop:
             env = clean_env(seed=seed, disturbance=DisturbanceConfig.moderate())
             tr = run(env, "sv", chunk_size=8, latency=lat)
             lo, hi = cost_bounds(lat, 8)
-            cost = observed_per_step_cost(tr)
+            cost = tr.simulated_inference_time / tr.executed_steps
             assert lo - lat.t_verify / 8 - 1e-12 <= cost <= hi + 1e-12
 
 
