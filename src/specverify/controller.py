@@ -1,6 +1,6 @@
 """Plan-execute-verify-replan episode executor with latency accounting.
 
-Runs one episode in a selected mode:
+Runs a batch of episodes in lockstep, each in the selected mode:
 
 * ``sv``: plan a chunk, execute its first action unverified, then verify each
   subsequent planned action against the lightweight reference; on deviation
@@ -11,7 +11,9 @@ Runs one episode in a selected mode:
 * ``sv-without-context`` / ``sv-without-observation``: sv with the respective
   verifier input zeroed.
 
-All planner/verifier calls are charged to a simulated clock; the identity
+At each control step, one verifier call serves every episode that verifies
+at that step. All planner/verifier calls are charged, per episode, to a
+simulated clock; the identity
 ``simulated_inference_time == heavy_calls*T_heavy + verifier_calls*T_verify``
 holds on every trace.
 """
@@ -78,13 +80,15 @@ class Decision:
     score: float  # normalized deviation in [0, 1]
 
 
-def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace,
-           tau: float) -> Decision:
-    """Binary execution rule: accept iff the normalized deviation is <= tau."""
+def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace, tau: float):
+    """Binary execution rule: accept iff the normalized deviation is <= tau.
+    Matching rows of planned and reference actions give one Decision per row."""
     if not (0.0 < tau < 1.0):
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
     score = deviation_score(planned, reference, space)
-    return Decision(accept=score <= tau, score=score)
+    if planned.ndim == 1:
+        return Decision(accept=score <= tau, score=score)
+    return [Decision(accept=s <= tau, score=s) for s in score]
 
 
 #: EpisodeTrace fields, and LatencyModel fields, written to the summary line.
@@ -163,17 +167,13 @@ def cost_bounds(latency: LatencyModel, chunk_size: int):
             latency.t_heavy + latency.t_verify)
 
 
-def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
-                threshold: ThresholdConfig, latency: LatencyModel) -> EpisodeTrace:
-    """Run one episode to success, horizon exhaustion, or the replan guard."""
-    mode = ControllerMode(mode)
-    if mode.needs_verifier and verifier is None:
-        raise ConfigurationError(f"mode {mode.value} requires a verifier")
-
-    trace = EpisodeTrace(seed=env.seed, mode=mode.value, chunk_size=planner.chunk_size,
-                         tau=threshold.tau if mode.is_sv else None, latency=latency)
-    geom = env.geom
-    space = geom.action_space()
+def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdConfig,
+             trace: EpisodeTrace):
+    """One episode's loop, filling ``trace``, as a generator: it yields each
+    verification request ``(obs, context, true_state, planned_action)`` and
+    is sent the answer, the Decision in the sv modes and the reference action
+    in verifier-only. It returns at success, horizon exhaustion, or the
+    replan guard."""
     horizon = env.config.horizon
     obs = env.reset()
     goal = env.state.goal_pos
@@ -199,12 +199,9 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
         execute(out.chunk[0])
         while not env.success() and env.state.step < horizon:
             trace.verifier_calls += 1
-            ref = verifier.reference(obs, out.context, true_state=env.state)
-            execute(ref)
+            execute((yield obs, out.context, env.state, None))
     else:  # sv and its input ablations; open-loop is sv with verification off
         verify = mode.is_sv
-        zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
-        zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
         while not env.success() and env.state.step < horizon:
             out = plan()
             execute(out.chunk[0])
@@ -215,9 +212,7 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
                     break
                 if verify:
                     trace.verifier_calls += 1
-                    ref = verifier.reference(obs, out.context, true_state=env.state,
-                                             zero_context=zero_ctx, zero_observation=zero_obs)
-                    decision = decide(out.chunk[i], ref, space, threshold.tau)
+                    decision = yield obs, out.context, env.state, out.chunk[i]
                     trace.records.append({
                         "type": "decision",
                         "step": env.state.step,
@@ -240,4 +235,51 @@ def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
                 trace.completed_chunk_lengths.append(executed_in_chunk)
 
     trace.success = env.success()
-    return trace
+
+
+def _advance(episode, answer=None):
+    """The episode's next request after ``answer``, or None once it has ended."""
+    try:
+        return episode.send(answer)
+    except StopIteration:
+        return None
+
+
+def run_episodes(envs, planner, verifier, mode: ControllerMode,
+                 threshold: ThresholdConfig, latency: LatencyModel) -> list:
+    """Run one episode per env in lockstep, returning their traces in order.
+
+    Each control step advances every live episode to its next verification
+    request; one ``verifier.reference`` call on the stacked rows and one
+    ``decide`` over them serve all of these requests. The env and planner stay
+    per episode, so each episode draws and computes exactly as it would alone.
+    """
+    mode = ControllerMode(mode)
+    if mode.needs_verifier and verifier is None:
+        raise ConfigurationError(f"mode {mode.value} requires a verifier")
+    if len({env.geom for env in envs}) > 1:
+        raise ConfigurationError("episodes run together must share one geometry")
+    traces = [EpisodeTrace(seed=env.seed, mode=mode.value, chunk_size=planner.chunk_size,
+                           tau=threshold.tau if mode.is_sv else None, latency=latency)
+              for env in envs]
+    episodes = [_episode(env, planner, mode, threshold, trace)
+                for env, trace in zip(envs, traces)]
+    live = [(ep, request) for ep in episodes if (request := _advance(ep)) is not None]
+    zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
+    zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
+    space = envs[0].geom.action_space() if envs else None
+    while live:
+        obs, context, states, planned = zip(*(request for _, request in live))
+        refs = verifier.reference(np.stack(obs), np.stack(context), true_state=states,
+                                  zero_context=zero_ctx, zero_observation=zero_obs)
+        answers = (refs if mode is ControllerMode.VERIFIER_ONLY
+                   else decide(np.stack(planned), refs, space, threshold.tau))
+        live = [(ep, request) for (ep, _), answer in zip(live, answers)
+                if (request := _advance(ep, answer)) is not None]
+    return traces
+
+
+def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
+                threshold: ThresholdConfig, latency: LatencyModel) -> EpisodeTrace:
+    """Run one episode to success, horizon exhaustion, or the replan guard."""
+    return run_episodes([env], planner, verifier, mode, threshold, latency)[0]

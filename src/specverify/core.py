@@ -5,7 +5,6 @@ validated where it enters the program (config, parameter file, score).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +59,18 @@ class ActionSpace:
 
 
 def deviation_score(planned: np.ndarray, reference: np.ndarray,
-                    space: ActionSpace) -> float:
-    """L1 distance between two actions over the action-space range sum, in [0, 1].
+                    space: ActionSpace):
+    """L1 distance between two actions over the action-space range sum, in [0, 1];
+    for matching rows of actions, the list of each row's score.
 
     Distances beyond the range sum clamp to 1. A non-finite distance (a NaN or
     infinite entry in either action) raises: clamping it would hide it.
     """
     if planned.shape != reference.shape:
         raise ContractViolation(f"dimension mismatch: {reference.shape} vs {planned.shape}")
-    raw = float(np.sum(np.abs(reference - planned)))
-    if not math.isfinite(raw):
-        raise ContractViolation(f"non-finite deviation between {planned} and {reference}")
-    return min(1.0, raw / space.range_sum)
+    raw = np.abs(reference - planned).sum(axis=-1)
+    if not np.isfinite(raw).all():
+        row = np.flatnonzero(~np.isfinite(raw))[0] if raw.ndim else ...  # first bad row
+        raise ContractViolation(
+            f"non-finite deviation between {planned[row]} and {reference[row]}")
+    return np.minimum(raw / space.range_sum, 1.0).tolist()

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .controller import (ControllerMode, EpisodeTrace, LatencyModel,
-                         ThresholdConfig, run_episode)
+                         ThresholdConfig, run_episodes)
 from .core import ConfigurationError
 from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
 from .planner import make_planner
@@ -351,7 +351,8 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
               chunk_size: int | None = None, tau: float | None = None,
               disturbance_level: str | None = None, verifier=None,
               episodes: int | None = None):
-    """Run the configured episode count with seeds base_seed + index."""
+    """Run the configured episode count with seeds base_seed + index, all in
+    one lockstep batch."""
     mode = ControllerMode(cfg.controller.mode if mode is None else mode)
     if verifier is None and mode.needs_verifier:
         verifier = build_verifier(cfg)
@@ -364,12 +365,8 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
     threshold = ThresholdConfig(tau=cfg.controller.tau if tau is None else tau,
                                 max_replans=cfg.controller.max_replans)
     n = episodes if episodes is not None else cfg.batch.episodes
-    traces = []
-    for i in range(n):
-        env = ToyEnv(episode_cfg, seed=cfg.batch.base_seed + i)
-        traces.append(run_episode(env, planner, verifier, mode, threshold,
-                                  cfg.controller.latency))
-    return traces
+    envs = [ToyEnv(episode_cfg, seed=cfg.batch.base_seed + i) for i in range(n)]
+    return run_episodes(envs, planner, verifier, mode, threshold, cfg.controller.latency)
 
 
 # ---------------------------------------------------------------------------

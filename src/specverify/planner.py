@@ -7,6 +7,7 @@ are charged by the controller's accounting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,16 @@ from .env import (EnvState, Geometry, expert_action, is_success,
 
 #: Minimum context width: the informative prefix below occupies 12 entries.
 _CONTEXT_BASE_WIDTH = 12
+
+#: The expert's action once the task is done (``-0.0`` entries compare equal).
+_STAY = (0.0, 0.0, 0.0)
+
+
+def _same_place(a: EnvState, b: EnvState) -> bool:
+    """Equal positions and gripper, bit for bit: 0.0 and -0.0 differ."""
+    return a.gripper == b.gripper and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a.agent_pos + a.object_pos, b.agent_pos + b.object_pos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +62,15 @@ class NominalRolloutPlanner:
         length = self.chunk_size if max_len is None else max(1, min(self.chunk_size, max_len))
         actions = []
         rollout = state
-        for _ in range(length):
+        while len(actions) < length:
             a = expert_action(rollout, self.geom)
             actions.append(a)
-            rollout = transition(rollout, a, self.geom)
+            after = transition(rollout, a, self.geom)
+            if a == _STAY and _same_place(after, rollout):
+                # A fixed point: expert_action ignores the step counter, so
+                # every later step repeats this action and this state.
+                actions += [a] * (length - len(actions))
+            rollout = after
         return PlannerOutput(chunk=np.array(actions),
                              context=self._context_vector(state, rollout))
 

@@ -68,7 +68,8 @@ class ObservationEncoder:
         return self.weights.shape[1]
 
     def encode_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Features of one observation vector, or of each row of a matrix."""
+        """Features of one observation vector, or of each row (last axis) of
+        an array of them."""
         return np.tanh(obs @ self.weights.T + self.bias)
 
 
@@ -108,18 +109,6 @@ class VerifierParams:
     def copy(self) -> "VerifierParams":
         return VerifierParams(self.w_fuse.copy(), self.b_fuse.copy(),
                               self.w_head.copy(), self.b_head.copy())
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.w_fuse.ravel(), self.b_fuse,
-                               self.w_head.ravel(), self.b_head])
-
-    def with_flat(self, flat: np.ndarray) -> "VerifierParams":
-        out = self.copy()
-        i = 0
-        for arr in (out.w_fuse, out.b_fuse, out.w_head, out.b_head):
-            arr[...] = flat[i:i + arr.size].reshape(arr.shape)
-            i += arr.size
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +254,24 @@ class TrainedVerifier:
 
     def reference(self, obs: np.ndarray, context: np.ndarray, true_state=None,
                   zero_context: bool = False, zero_observation: bool = False) -> np.ndarray:
-        """Head of the fusion layer, clamped into the action space; widths
-        were checked where the parameters entered (``load_verifier`` and the
-        harness's ``build_verifier``)."""
-        visual = (np.zeros(self.encoder.width) if zero_observation
-                  else self.encoder.encode_batch(obs))
+        """Head of the fusion layer, clamped into the action space, for one
+        observation and context or for each matching row of them; widths were
+        checked where the parameters entered (``load_verifier`` and the
+        harness's ``build_verifier``).
+
+        Rows are stacked as (n, 1, width), so each layer is n matrix-vector
+        products: a row gets the same bits as a one-vector call, whatever the
+        batch size, where one matrix product would round differently.
+        """
+        rows = obs.reshape(-1, 1, obs.shape[-1])
+        context = context.reshape(rows.shape[0], 1, -1)
+        visual = (np.zeros((rows.shape[0], 1, self.encoder.width)) if zero_observation
+                  else self.encoder.encode_batch(rows))
         if zero_context:
             context = np.zeros_like(context)
-        fused = _fused(self.params, np.concatenate([visual, context]))
-        return self.space.clamp(self.params.w_head @ fused + self.params.b_head)
+        fused = _fused(self.params, np.concatenate([visual, context], axis=2))
+        ref = self.space.clamp(fused @ self.params.w_head.T + self.params.b_head)
+        return ref.reshape(obs.shape[:-1] + (-1,))
 
 
 class OracleVerifier:
@@ -283,9 +281,10 @@ class OracleVerifier:
         self.geom = geometry
 
     def reference(self, obs, context, true_state=None, **_ignored) -> np.ndarray:
+        """One row per state of the sequence ``true_state``: its expert action."""
         if true_state is None:
-            raise ConfigurationError("oracle verifier needs the true environment state")
-        return np.array(expert_action(true_state, self.geom))
+            raise ConfigurationError("oracle verifier needs the true environment states")
+        return np.array([expert_action(state, self.geom) for state in true_state])
 
 
 # ---------------------------------------------------------------------------

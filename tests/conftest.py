@@ -5,10 +5,9 @@ share a single instance trained under moderate disturbances.
 """
 import json
 
-import numpy as np
 import pytest
 
-from specverify.env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry
+from specverify.env import OBS_DIM, DisturbanceConfig, Geometry
 from specverify.harness import ExperimentConfig, EnvSection, build_verifier
 from specverify.verifier import ObservationEncoder, VerifierParams, save_verifier
 

@@ -8,7 +8,6 @@ costs (t_heavy + (K-1) t_verify)/K per step, i.e. the nominal lower bound
 minus t_verify/K. The nominal bound itself assumes a verifier call on every
 step.
 """
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +18,14 @@ from specverify.controller import (ControllerMode, LatencyModel,
 from specverify.core import ActionSpace
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
                             ToyEnv)
-from specverify.harness import aggregate, config_from_dict, rows_to_csv, run_batch
+from specverify.harness import aggregate, config_from_dict, run_batch
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  VerifierParams, _as_matrices,
                                  build_training_set, loss_and_grads,
                                  train_verifier)
+
+from helpers import flat, with_flat
 
 
 def report(number: int, description: str, passed: bool):
@@ -173,14 +174,14 @@ def test_criterion_5_gradient_check(geometry):
         if np.min(np.abs(pred - tgt)) < 1e-4:
             continue
         _, grads = loss_and_grads(params, x, tgt)
-        flat = params.flat()
-        d = rng.normal(size=flat.size)
+        theta = flat(params)
+        d = rng.normal(size=theta.size)
         d /= np.linalg.norm(d)
         eps = 1e-6
-        lp, _ = loss_and_grads(params.with_flat(flat + eps * d), x, tgt)
-        lm, _ = loss_and_grads(params.with_flat(flat - eps * d), x, tgt)
+        lp, _ = loss_and_grads(with_flat(params, theta + eps * d), x, tgt)
+        lm, _ = loss_and_grads(with_flat(params, theta - eps * d), x, tgt)
         num = (lp - lm) / (2 * eps)
-        ana = float(grads.flat() @ d)
+        ana = float(flat(grads) @ d)
         worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-12))
         checked += 1
     report(5, f"analytic vs central-difference gradients at 100 non-tie "

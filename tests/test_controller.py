@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.core import ActionSpace, ConfigurationError
+from specverify.core import ActionSpace, ConfigurationError, ContractViolation
 from specverify.controller import (ControllerMode, EpisodeTrace, LatencyModel,
-                                   ThresholdConfig, cost_bounds, decide, run_episode)
+                                   ThresholdConfig, cost_bounds, decide, run_episode,
+                                   run_episodes)
 from specverify.env import (GRIPPER_HOLDING, DisturbanceConfig, EnvState,
                             EpisodeConfig, Geometry, ToyEnv)
 from specverify.planner import NominalRolloutPlanner
@@ -20,10 +21,11 @@ SPACE = ActionSpace(lower=[-0.25, -0.25, 0.0], upper=[0.25, 0.25, 1.0])
 
 class ConstantVerifier:
     """Stub whose reference never matches any expert action: the grasp
-    component 0.5 is at least 0.5 away from the expert's {0, 1}."""
+    component 0.5 is at least 0.5 away from the expert's {0, 1}. One row per
+    observation row."""
 
     def reference(self, obs, context, true_state=None, **_ignored):
-        return np.array([0.123, -0.117, 0.5])
+        return np.tile([0.123, -0.117, 0.5], (len(obs), 1))
 
 
 class TestConfigs:
@@ -88,6 +90,30 @@ class TestDecide:
             assert decide(planned, reference, SPACE, hi).accept
 
 
+class TestDecideRows:
+    """``decide`` on matching rows, as the lockstep engine calls it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from((1, 2, 7, 64, 200)), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 0.99))
+    def test_rows_match_pairs(self, n, seed, tau):
+        rng = np.random.default_rng(seed)
+        planned = SPACE.clamp(rng.uniform([-0.4, -0.4, -0.2], [0.4, 0.4, 1.2], (n, 3)))
+        reference = SPACE.clamp(rng.uniform([-0.4, -0.4, -0.2], [0.4, 0.4, 1.2], (n, 3)))
+        reference[::3] = planned[::3]  # some exact matches, score 0
+        rows = decide(planned, reference, SPACE, tau)
+        pairs = [decide(p, r, SPACE, tau) for p, r in zip(planned, reference)]
+        assert rows == pairs
+        assert all(type(d.score) is float and type(d.accept) is bool for d in rows)
+
+    def test_non_finite_row_raises(self):
+        planned = np.zeros((5, 3))
+        reference = np.zeros((5, 3))
+        reference[3, 1] = np.nan
+        with pytest.raises(ContractViolation, match="non-finite"):
+            decide(planned, reference, SPACE, tau=0.2)
+
+
 class TestCostModel:
     def test_reported_latency_example(self):
         lat = LatencyModel(t_heavy=1.373, t_verify=0.081)
@@ -150,6 +176,14 @@ class TestEpisodeLoop:
         with pytest.raises(ConfigurationError):
             run_episode(env, planner, None, ControllerMode.SV,
                         ThresholdConfig(), LatencyModel())
+
+    def test_mixed_geometries_rejected(self):
+        """One decide serves a whole tick, so a batch shares one action space."""
+        envs = [clean_env(), ToyEnv(EpisodeConfig(geometry=Geometry(step_bound=0.5)), seed=1)]
+        planner = NominalRolloutPlanner(envs[0].geom, chunk_size=4)
+        with pytest.raises(ConfigurationError):
+            run_episodes(envs, planner, OracleVerifier(envs[0].geom), ControllerMode.SV,
+                         ThresholdConfig(), LatencyModel())
 
     def test_clean_oracle_never_replans(self):
         for seed in range(10):

@@ -10,9 +10,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from specverify.controller import ThresholdConfig, run_episode
+from specverify.env import ToyEnv
 from specverify.harness import (config_from_dict, run_batch, save_config,
                                 train_from_config, write_traces)
-from specverify.verifier import save_verifier
+from specverify.planner import make_planner
+from specverify.verifier import OracleVerifier, save_verifier
 
 MODES = ("sv", "open-loop", "verifier-only", "sv-without-context",
          "sv-without-observation")
@@ -150,6 +153,25 @@ def test_trained_trace_digest(tmp_path, moderate_config, trained_verifier, mode)
     traces = run_batch(moderate_config, mode=mode, verifier=trained_verifier,
                        episodes=TRAINED_EPISODES)
     assert traces_digest(tmp_path, traces) == TRAINED_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("verifier_kind", ("oracle", "trained"))
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_matches_episodes_run_alone(tmp_path, moderate_config, trained_verifier,
+                                          verifier_kind, mode):
+    """Each seed's trace has the same bytes whether its episode runs alone
+    (N=1) or inside a 200-episode lockstep batch that shares verifier calls."""
+    cfg = moderate_config
+    verifier = (trained_verifier if verifier_kind == "trained"
+                else OracleVerifier(cfg.env.geometry))
+    batch = run_batch(cfg, mode=mode, verifier=verifier, episodes=200)
+    planner = make_planner(cfg.planner.kind, cfg.env.geometry, cfg.planner.chunk_size,
+                           cfg.planner.context_width)
+    threshold = ThresholdConfig(tau=cfg.controller.tau, max_replans=cfg.controller.max_replans)
+    alone = [run_episode(ToyEnv(cfg.env.episode_config(), seed=t.seed), planner, verifier,
+                         mode, threshold, cfg.controller.latency) for t in batch]
+    assert [t.seed for t in alone] == list(range(200))
+    assert traces_digest(tmp_path, alone) == traces_digest(tmp_path, batch)
 
 
 def test_trained_parameter_file_digest(tmp_path, trained_verifier):

@@ -5,6 +5,7 @@ import pytest
 from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
                             ToyEnv, render_observation, transition)
+from specverify import planner as planner_module
 from specverify.planner import NominalRolloutPlanner, make_planner
 
 
@@ -90,3 +91,17 @@ class TestPlanning:
         moves = out.chunk.tolist()
         assert moves == [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0],
                          [0.25, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("agent_x", (0.5, -0.0))
+    def test_solved_state_stops_rolling_out(self, geometry, monkeypatch, agent_x):
+        """From a solved state the rollout reaches a fixed point and pads the
+        chunk with its stay action: one nominal step, or two from ``-0.0``,
+        which the first step turns into ``0.0``."""
+        calls = []
+        monkeypatch.setattr(planner_module, "transition",
+                            lambda *args: calls.append(args) or transition(*args))
+        state = EnvState(agent_pos=(agent_x, 1.0), object_pos=(1.5, 1.5),
+                         goal_pos=(1.5, 1.5), gripper=0, step=0)
+        out = plan_from(NominalRolloutPlanner(geometry, chunk_size=16), state)
+        assert len(calls) == (1 if agent_x == 0.5 else 2)
+        assert out.chunk.tolist() == [[0.0, 0.0, 0.0]] * 16

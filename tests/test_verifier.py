@@ -1,16 +1,20 @@
 """Verifier tests: frozen encoder, forward maps, training, persistence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specverify.core import ConfigurationError
-from specverify.env import OBS_DIM, EpisodeConfig, Geometry
+from specverify.env import OBS_DIM, EpisodeConfig, ToyEnv, expert_action
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  TrainedVerifier, VerifierParams,
-                                 VerifierSample, _as_matrices, _fused,
+                                 _as_matrices, _fused,
                                  build_training_set, load_verifier,
                                  loss_and_grads, mean_l1_loss, save_verifier,
                                  train_verifier)
+
+from helpers import flat, with_flat
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,39 @@ class TestForward:
             assert got.tobytes() == expected.tobytes()
 
 
+class TestBatchedReference:
+    """One forward over stacked rows, as the lockstep engine calls it, gives
+    each row the bits of its own one-vector call at every batch size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((1, 2, 7, 64, 200)),
+           st.sampled_from(((False, False), (True, False), (False, True))),
+           st.integers(0, 2**32 - 1))
+    def test_rows_match_one_vector_calls(self, encoder, geometry, n, zeroed, seed):
+        zero_context, zero_observation = zeroed
+        rng = np.random.default_rng(seed)
+        params = VerifierParams.create(encoder.width, 16, 128, 3, seed=seed % 997)
+        params.b_fuse[:] = rng.normal(0.0, 0.5, params.fused_width)
+        params.b_head[:] = rng.normal(0.0, 0.1, 3)
+        ver = TrainedVerifier(encoder, params, geometry.action_space())
+        obs = rng.uniform(-0.5, 2.5, (n, OBS_DIM))
+        ctx = rng.normal(size=(n, 16))
+        flags = {"zero_context": zero_context, "zero_observation": zero_observation}
+        rows = ver.reference(obs, ctx, **flags)
+        assert rows.shape == (n, 3)
+        for i in range(n):
+            assert rows[i].tobytes() == ver.reference(obs[i], ctx[i], **flags).tobytes()
+
+    def test_oracle_rows_are_expert_actions(self, geometry):
+        states = []
+        for seed in range(5):
+            env = ToyEnv(EpisodeConfig(geometry=geometry), seed=seed)
+            env.reset()
+            states.append(env.state)
+        rows = OracleVerifier(geometry).reference(None, None, true_state=states)
+        assert rows.tolist() == [list(expert_action(s, geometry)) for s in states]
+
+
 class TestDataset:
     def test_sample_count_short_horizon(self, geometry):
         """One disturbance-free episode, K=4, horizon 8: two full chunks, each
@@ -178,7 +215,7 @@ class TestTraining:
                             learning_rate=0.02, hidden_width=16, seed=2)
         r2 = train_verifier(clean_samples[:80], encoder, epochs=5,
                             learning_rate=0.02, hidden_width=16, seed=2)
-        np.testing.assert_array_equal(r1.params.flat(), r2.params.flat())
+        np.testing.assert_array_equal(flat(r1.params), flat(r2.params))
         assert r1.losses == r2.losses
 
     def test_single_sample_overfit(self, encoder, clean_samples):
@@ -193,10 +230,10 @@ class TestTraining:
 
     def test_warm_start_does_not_mutate_init(self, encoder, clean_samples):
         init = VerifierParams.create(encoder.width, 16, 16, 3, seed=5)
-        before = init.flat().copy()
+        before = flat(init).copy()
         train_verifier(clean_samples[:64], encoder, epochs=3, learning_rate=0.05,
                        hidden_width=16, seed=1, init=init)
-        np.testing.assert_array_equal(init.flat(), before)
+        np.testing.assert_array_equal(flat(init), before)
 
     def test_empty_samples_rejected(self, encoder):
         with pytest.raises(ConfigurationError):
@@ -213,15 +250,15 @@ class TestTraining:
         params = VerifierParams.create(encoder.width, x.shape[1] - encoder.width,
                                        16, 3, seed=8)
         _, grads = loss_and_grads(params, x, tgt)
-        flat = params.flat()
+        theta = flat(params)
         for _ in range(5):
-            d = rng.normal(size=flat.size)
+            d = rng.normal(size=theta.size)
             d /= np.linalg.norm(d)
             eps = 1e-6
-            lp, _ = loss_and_grads(params.with_flat(flat + eps * d), x, tgt)
-            lm, _ = loss_and_grads(params.with_flat(flat - eps * d), x, tgt)
+            lp, _ = loss_and_grads(with_flat(params, theta + eps * d), x, tgt)
+            lm, _ = loss_and_grads(with_flat(params, theta - eps * d), x, tgt)
             num = (lp - lm) / (2 * eps)
-            ana = float(grads.flat() @ d)
+            ana = float(flat(grads) @ d)
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
 
     def test_forward_only_loss_matches_loss_and_grads(self, encoder, clean_samples):
@@ -267,7 +304,7 @@ class TestPersistence:
         enc2, params2 = load_verifier(path)
         np.testing.assert_array_equal(enc2.weights, encoder.weights)
         np.testing.assert_array_equal(enc2.bias, encoder.bias)
-        np.testing.assert_array_equal(params2.flat(), params.flat())
+        np.testing.assert_array_equal(flat(params2), flat(params))
 
     @pytest.mark.parametrize("damage", ("nan", "truncated_row", "header_mismatch",
                                         "cut_file", "missing_array"))
