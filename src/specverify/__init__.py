@@ -15,8 +15,7 @@ from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
                   expert_action, is_success, render_observation, transition)
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner
 from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
-                       TrainReport, VerifierParams, VerifierSample,
-                       build_training_set, load_verifier, save_verifier,
-                       train_verifier)
+                       TrainReport, VerifierParams, build_training_set,
+                       load_verifier, save_verifier, train_verifier)
 
 __version__ = "0.1.0"

@@ -34,7 +34,14 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {path: getattr(args, path) for _, _, path in OVERRIDES}
     overrides["output_dir"] = args.output_dir or os.environ.get("SPECVERIFY_OUTPUT") or None
-    return override_config(cfg, {k: v for k, v in overrides.items() if v is not None})
+    cfg = override_config(cfg, {k: v for k, v in overrides.items() if v is not None})
+    if cfg.verifier.params_path:
+        try:
+            open(cfg.verifier.params_path).close()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"verifier.params_path: cannot read {cfg.verifier.params_path}: {exc}") from exc
+    return cfg
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:

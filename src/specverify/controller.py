@@ -176,7 +176,6 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
     replan guard."""
     horizon = env.config.horizon
     obs = env.reset()
-    goal = env.state.goal_pos
 
     def execute(action: np.ndarray):
         nonlocal obs
@@ -192,7 +191,7 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
 
     def plan():
         trace.heavy_calls += 1
-        return planner.plan(obs, goal, max_len=horizon - env.state.step)
+        return planner.plan(env.state, max_len=horizon - env.state.step)
 
     if mode is ControllerMode.VERIFIER_ONLY:
         out = plan()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError, ContractViolation
+from .core import ActionSpace, ConfigurationError
 
 GRIPPER_OPEN = 0
 GRIPPER_HOLDING = 1
@@ -21,8 +21,8 @@ GRIPPER_HOLDING = 1
 #: Layout of the observation feature vector produced by render_observation:
 #: [agent_x, agent_y, object_x, object_y,
 #:  object_x - agent_x, object_y - agent_y, gripper_flag]
-#: The goal position is deliberately absent: it is task knowledge, handed to
-#: the planner beside each observation and carried by the planning context.
+#: The goal position is deliberately absent: the planner reads it from the env
+#: state, and the planning context carries it to the verifier.
 OBS_DIM = 7
 
 
@@ -110,32 +110,6 @@ def render_observation(state: EnvState) -> np.ndarray:
     """Deterministic feature-vector rendering of a state (see OBS layout above)."""
     (ax, ay), (ox, oy) = state.agent_pos, state.object_pos
     return np.array([ax, ay, ox, oy, ox - ax, oy - ay, float(state.gripper)])
-
-
-def state_from_observation(f: np.ndarray, goal, atol: float = 1e-9) -> EnvState:
-    """Reconstruct the full state from an observation vector plus the task goal.
-
-    The observation carries no step counter, so the state starts at step 0.
-    Raises ContractViolation when the redundant relative-offset entries do not
-    match the absolute positions (i.e. the vector is not a valid rendering).
-    """
-    if f.size != OBS_DIM:
-        raise ContractViolation(f"observation has {f.size} entries, expected {OBS_DIM}")
-    ax, ay, ox, oy, dx, dy, flag = f.tolist()
-    if not (_close(dx, ox - ax, atol) and _close(dy, oy - ay, atol)):
-        raise ContractViolation("observation offsets inconsistent with absolute positions")
-    gripper = int(round(flag))
-    if gripper not in (GRIPPER_OPEN, GRIPPER_HOLDING):
-        raise ContractViolation(f"invalid gripper flag {flag}")
-    if gripper == GRIPPER_HOLDING and not (_close(ox, ax, atol) and _close(oy, ay, atol)):
-        raise ContractViolation("holding gripper requires object at agent position")
-    return EnvState(agent_pos=(ax, ay), object_pos=(ox, oy),
-                    goal_pos=(float(goal[0]), float(goal[1])), gripper=gripper, step=0)
-
-
-def _close(a: float, b: float, atol: float) -> bool:
-    """np.allclose's test (rtol 1e-5) on one pair of floats; NaN is never close."""
-    return abs(a - b) <= atol + 1e-5 * abs(b)
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
@@ -231,15 +205,11 @@ class ToyEnv:
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self, state: EnvState | None = None):
-        """Start an episode from a given state, the constructor-supplied one,
-        or a freshly sampled one."""
-        if state is None:
-            state = self.initial_state
-        if state is None:
-            state = self._sample_initial_state()
-        self.state = state
-        return render_observation(state)
+    def reset(self):
+        """Start an episode from the constructor-supplied state or a freshly
+        sampled one."""
+        self.state = self.initial_state or self._sample_initial_state()
+        return render_observation(self.state)
 
     def _sample_initial_state(self) -> EnvState:
         geom = self.geom

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError
-from .env import (EnvState, Geometry, expert_action, is_success,
-                  state_from_observation, transition)
+from .env import EnvState, Geometry, expert_action, is_success, transition
 
 #: Minimum context width: the informative prefix below occupies 12 entries.
 _CONTEXT_BASE_WIDTH = 12
@@ -51,14 +50,8 @@ class NominalRolloutPlanner:
         self.chunk_size = chunk_size
         self.context_width = context_width
 
-    def plan(self, obs: np.ndarray, goal,
-             max_len: int | None = None) -> PlannerOutput:
-        """Produce a chunk of min(K, max_len) expert actions plus the context.
-
-        The goal position is the task knowledge the observation lacks; the toy
-        world has a single task family, so the task needs nothing else.
-        """
-        state = state_from_observation(obs, goal)
+    def plan(self, state: EnvState, max_len: int | None = None) -> PlannerOutput:
+        """Produce a chunk of min(K, max_len) expert actions plus the context."""
         length = self.chunk_size if max_len is None else max(1, min(self.chunk_size, max_len))
         actions = []
         rollout = state

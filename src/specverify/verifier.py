@@ -116,24 +116,10 @@ class VerifierParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class VerifierSample:
-    observation: np.ndarray
-    context: np.ndarray
-    target: np.ndarray  # expert action at the true state
-
-
 @dataclass(eq=False)
 class TrainReport:
     losses: list  # full-dataset mean L1 loss before training, then per epoch
     params: VerifierParams
-
-
-def _as_matrices(samples):
-    obs = np.stack([s.observation for s in samples])
-    ctx = np.stack([s.context for s in samples])
-    tgt = np.stack([s.target for s in samples])
-    return obs, ctx, tgt
 
 
 def _fused(params: VerifierParams, x: np.ndarray, out=None) -> np.ndarray:
@@ -175,7 +161,8 @@ def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
                    learning_rate: float = 0.05, batch_size: int = 64,
                    hidden_width: int = 64, seed: int = 1,
                    init: VerifierParams | None = None) -> TrainReport:
-    """Mini-batch gradient descent on the mean L1 objective.
+    """Mini-batch gradient descent on the mean L1 objective over
+    ``(observation, context, target)`` rows.
 
     The read-only encoder runs once; mini-batches are rows of the fused input.
     Returns the loss trajectory (entry 0 = loss before any update) and the
@@ -183,7 +170,7 @@ def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
     """
     if not samples:
         raise ConfigurationError("training requires a nonempty sample list")
-    obs, ctx, tgt = _as_matrices(samples)
+    obs, ctx, tgt = (np.stack(column) for column in zip(*samples))
     x = np.concatenate([encoder.encode_batch(obs), ctx], axis=1)
     params = (init.copy() if init is not None else
               VerifierParams.create(encoder.width, ctx.shape[1], hidden_width,
@@ -224,14 +211,12 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
         env = ToyEnv(config, seed=seed + ep)
         obs = env.reset()
         while env.state.step < config.horizon and not env.success():
-            out = planner.plan(obs, env.state.goal_pos,
-                               max_len=config.horizon - env.state.step)
+            out = planner.plan(env.state, max_len=config.horizon - env.state.step)
             for i, action in enumerate(out.chunk):
                 if env.success():
                     break
                 if i >= 1:
-                    samples.append(VerifierSample(observation=obs, context=out.context,
-                                                  target=np.array(expert_action(env.state, geom))))
+                    samples.append((obs, out.context, np.array(expert_action(env.state, geom))))
                 obs = env.step(action)
             if boundaries == "first":
                 break

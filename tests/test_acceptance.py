@@ -21,9 +21,8 @@ from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
 from specverify.harness import aggregate, config_from_dict, run_batch
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
-                                 VerifierParams, _as_matrices,
-                                 build_training_set, loss_and_grads,
-                                 train_verifier)
+                                 VerifierParams, build_training_set,
+                                 loss_and_grads, train_verifier)
 
 from helpers import flat, with_flat
 
@@ -158,9 +157,9 @@ def test_criterion_5_gradient_check(geometry):
     planner = NominalRolloutPlanner(geometry, chunk_size=16)
     samples = build_training_set(EpisodeConfig(geometry=geometry), planner,
                                  episodes=4, seed=3)
-    encoder = ObservationEncoder.create(samples[0].observation.size,
+    encoder = ObservationEncoder.create(samples[0][0].size,
                                         64, seed=0)
-    obs, ctx, tgt = _as_matrices(samples[:16])
+    obs, ctx, tgt = (np.stack(c) for c in zip(*samples[:16]))
     x = np.concatenate([encoder.encode_batch(obs), ctx], axis=1)
     rng = np.random.default_rng(7)
     checked = 0
@@ -192,7 +191,7 @@ def test_criterion_6_training_efficacy(geometry):
     planner = NominalRolloutPlanner(geometry, chunk_size=16)
     samples = build_training_set(EpisodeConfig(geometry=geometry), planner,
                                  episodes=60, seed=3)
-    encoder = ObservationEncoder.create(samples[0].observation.size,
+    encoder = ObservationEncoder.create(samples[0][0].size,
                                         64, seed=0)
     enc_before = (encoder.weights.copy(), encoder.bias.copy())
     rep = train_verifier(samples, encoder, epochs=300, learning_rate=0.02,

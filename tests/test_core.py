@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specverify.core import ActionSpace, ContractViolation, deviation_score
-from specverify.env import EnvState, Geometry, render_observation
+from specverify.env import EnvState, Geometry
 from specverify.planner import NominalRolloutPlanner
 
 
@@ -22,7 +22,7 @@ def plan_once(max_len=None):
     state = EnvState(agent_pos=[0.2, 0.2], object_pos=[1.0, 1.0],
                      goal_pos=[1.8, 1.8], gripper=0, step=0)
     planner = NominalRolloutPlanner(Geometry(), chunk_size=4, context_width=16)
-    return planner.plan(render_observation(state), state.goal_pos, max_len=max_len)
+    return planner.plan(state, max_len=max_len)
 
 
 class TestActionSpace:

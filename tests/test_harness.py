@@ -105,11 +105,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path))):
             load_config(tmp_path)
 
-    def test_unreadable_params_path(self, tmp_path):
+    def test_unreadable_params_path(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
-        path.write_text("verifier:\n  params_path: /does/not/exist.json\n")
-        with pytest.raises(ConfigurationError, match="params_path"):
-            load_config(path)
+        path.write_text(f"verifier:\n  params_path: {tmp_path / 'missing.json'}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "configuration error: verifier.params_path: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_params_flag(self, tmp_path, capsys):
+        """--params is checked like the same value in a config file."""
+        out = tmp_path / "out"
+        assert main(["run", "--params", str(tmp_path / "missing.json"),
+                     "--output-dir", str(out)]) == 2
+        assert "configuration error: verifier.params_path: cannot read" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_round_trip(self, tmp_path):
         cfg = config_from_dict({"controller": {"tau": 0.3},

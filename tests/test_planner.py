@@ -4,13 +4,9 @@ import pytest
 
 from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
-                            ToyEnv, render_observation, transition)
+                            ToyEnv, transition)
 from specverify import planner as planner_module
 from specverify.planner import NominalRolloutPlanner, make_planner
-
-
-def plan_from(planner, state):
-    return planner.plan(render_observation(state), state.goal_pos)
 
 
 class TestConstruction:
@@ -36,7 +32,7 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geometry, chunk_size=6)
         state = EnvState(agent_pos=[0.2, 0.2], object_pos=[1.0, 1.0],
                          goal_pos=[1.8, 1.8], gripper=0, step=3)
-        out = plan_from(planner, state)
+        out = planner.plan(state)
         assert len(out.chunk) == 6
         assert out.chunk.shape == (6, 3)
 
@@ -44,15 +40,15 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geometry, chunk_size=16)
         state = EnvState(agent_pos=[0.2, 0.2], object_pos=[1.0, 1.0],
                          goal_pos=[1.8, 1.8], gripper=0, step=0)
-        out = planner.plan(render_observation(state), state.goal_pos, max_len=5)
+        out = planner.plan(state, max_len=5)
         assert len(out.chunk) == 5
 
     def test_prefix_consistency(self, geometry):
         """A shorter chunk from the same state is a prefix of a longer one."""
         state = EnvState(agent_pos=[0.3, 0.4], object_pos=[1.1, 0.9],
                          goal_pos=[1.7, 1.6], gripper=0, step=0)
-        short = plan_from(NominalRolloutPlanner(geometry, chunk_size=4), state)
-        long = plan_from(NominalRolloutPlanner(geometry, chunk_size=10), state)
+        short = NominalRolloutPlanner(geometry, chunk_size=4).plan(state)
+        long = NominalRolloutPlanner(geometry, chunk_size=10).plan(state)
         np.testing.assert_array_equal(short.chunk, long.chunk[:4])
 
     def test_open_loop_chunk_solves_clean_episode(self, geometry):
@@ -62,7 +58,7 @@ class TestPlanning:
         env = ToyEnv(cfg, seed=21)
         env.reset()
         planner = NominalRolloutPlanner(geometry, chunk_size=40)
-        out = plan_from(planner, env.state)
+        out = planner.plan(env.state)
         rollout = env.state
         for a in out.chunk:
             env.step(a)
@@ -74,7 +70,7 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geometry, chunk_size=4, context_width=16)
         state = EnvState(agent_pos=[0.3, 0.4], object_pos=[1.1, 0.9],
                          goal_pos=[1.7, 1.6], gripper=0, step=0)
-        vec = plan_from(planner, state).context
+        vec = planner.plan(state).context
         assert vec.size == 16
         np.testing.assert_allclose(vec[0:2], state.goal_pos)
         np.testing.assert_allclose(vec[2:4], state.object_pos)
@@ -87,7 +83,7 @@ class TestPlanning:
         planner = NominalRolloutPlanner(geom, chunk_size=4)
         state = EnvState(agent_pos=[0.0, 1.0], object_pos=[0.0, 1.0],
                          goal_pos=[1.0, 1.0], gripper=GRIPPER_HOLDING, step=0)
-        out = plan_from(planner, state)
+        out = planner.plan(state)
         moves = out.chunk.tolist()
         assert moves == [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0],
                          [0.25, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -102,6 +98,6 @@ class TestPlanning:
                             lambda *args: calls.append(args) or transition(*args))
         state = EnvState(agent_pos=(agent_x, 1.0), object_pos=(1.5, 1.5),
                          goal_pos=(1.5, 1.5), gripper=0, step=0)
-        out = plan_from(NominalRolloutPlanner(geometry, chunk_size=16), state)
+        out = NominalRolloutPlanner(geometry, chunk_size=16).plan(state)
         assert len(calls) == (1 if agent_x == 0.5 else 2)
         assert out.chunk.tolist() == [[0.0, 0.0, 0.0]] * 16

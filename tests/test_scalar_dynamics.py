@@ -3,7 +3,9 @@
 The env and the nominal planner run on Python floats. These properties hold
 ``transition``, ``expert_action``, ``is_success`` and ``plan`` bit for bit to
 the float64-array formulas written out below, on states that include the
-walls, the grasp and success radii within one ulp, and held objects.
+walls, the grasp and success radii within one ulp, held objects and any step
+counter. The reference planner decodes the rendered observation, so ``plan``
+from the env state is checked to lose nothing against it.
 """
 import math
 
@@ -127,7 +129,8 @@ def env_states(draw):
     if holding:
         obj = agent
     gripper = GRIPPER_HOLDING if holding else GRIPPER_OPEN
-    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal, gripper=gripper, step=0)
+    step = draw(st.integers(0, 39))  # the planner must not read it
+    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=goal, gripper=gripper, step=step)
 
 
 def arrays_of(state: EnvState):
@@ -175,10 +178,9 @@ class TestMatchesArrayFormulas:
     @settings(max_examples=200, deadline=None)
     @given(env_states(), st.sampled_from([1, 4, 16]), st.sampled_from([12, 16, 20]))
     def test_plan_chunk_and_context(self, state, chunk_size, context_width):
-        planner = NominalRolloutPlanner(GEOM, chunk_size, context_width)
-        obs = render_observation(state)
-        out = planner.plan(obs, state.goal_pos)
-        chunk, context = np_plan(obs, state.goal_pos, chunk_size, context_width)
+        out = NominalRolloutPlanner(GEOM, chunk_size, context_width).plan(state)
+        chunk, context = np_plan(render_observation(state), state.goal_pos,
+                                 chunk_size, context_width)
         assert out.chunk.dtype == np.float64 and out.chunk.shape == chunk.shape
         assert out.chunk.tobytes() == chunk.tobytes()
         assert out.context.tobytes() == context.tobytes()

@@ -8,8 +8,7 @@ from specverify.core import ConfigurationError
 from specverify.env import OBS_DIM, EpisodeConfig, ToyEnv, expert_action
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
-                                 TrainedVerifier, VerifierParams,
-                                 _as_matrices, _fused,
+                                 TrainedVerifier, VerifierParams, _fused,
                                  build_training_set, load_verifier,
                                  loss_and_grads, mean_l1_loss, save_verifier,
                                  train_verifier)
@@ -186,8 +185,8 @@ class TestDataset:
 
     def test_targets_are_expert_actions(self, geometry, clean_samples):
         for s in clean_samples[:40]:
-            assert s.target.shape == (3,)
-            assert np.all(np.abs(s.target[:2]) <= geometry.step_bound)
+            assert s[2].shape == (3,)
+            assert np.all(np.abs(s[2][:2]) <= geometry.step_bound)
 
 
 class TestTraining:
@@ -241,7 +240,7 @@ class TestTraining:
 
     @staticmethod
     def fused(encoder, samples):
-        obs, ctx, tgt = _as_matrices(samples)
+        obs, ctx, tgt = (np.stack(c) for c in zip(*samples))
         return np.concatenate([encoder.encode_batch(obs), ctx], axis=1), tgt
 
     def test_gradient_matches_finite_differences(self, encoder, clean_samples):
