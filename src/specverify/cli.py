@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .core import ConfigurationError, ContractViolation
-from .harness import (ExperimentConfig, aggregate, load_config, override_config,
+from .env import DisturbanceConfig
+from .harness import (ExperimentConfig, _named, aggregate, load_config, override_config,
                       read_traces, reference_batch, rows_to_csv, run_batch,
                       run_sweep, save_config, train_from_config, write_traces)
 from .verifier import save_verifier
@@ -105,7 +106,8 @@ def cmd_report(args) -> int:
     for path in sorted(traces_dir.glob("*.jsonl")):
         if path.stem.startswith("reference_"):
             references[path.stem.removeprefix("reference_")] = read_traces(path)
-        else:
+        else:  # a cell is named ``..._<level>``
+            _named(str(path), DisturbanceConfig.from_level, path.stem.rsplit("_", 1)[-1])
             cells[path.stem] = read_traces(path)
     rows = []
     for name, traces in cells.items():

@@ -24,6 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class LatencyModel:
         for f in fields(self):
             if (value := getattr(self, f.name)) < 0:
                 raise ConfigurationError(f"{f.name}: must be nonnegative, got {value}")
+        if self.t_heavy == 0:  # every episode plans, so the mean inference time is positive
+            raise ConfigurationError(f"t_heavy: must be positive, got {self.t_heavy}")
         if self.t_verify > self.t_heavy:
             raise ConfigurationError("t_verify: must not exceed t_heavy")
 
@@ -74,8 +77,7 @@ class ControllerMode(str, Enum):
         return self is not ControllerMode.OPEN_LOOP
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     accept: bool
     score: float  # normalized deviation in [0, 1]
 
@@ -96,6 +98,8 @@ _SUMMARY_FIELDS = ("seed", "mode", "chunk_size", "tau", "heavy_calls", "verifier
                    "executed_steps", "replans", "guard_hit", "success",
                    "steps_before_replan", "completed_chunk_lengths")
 _LATENCY_FIELDS = ("t_heavy", "t_verify", "t_ctrl")
+#: ``json.dumps(r, sort_keys=True)`` without building an encoder per record.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(eq=False)
@@ -126,7 +130,7 @@ class EpisodeTrace:
         summary = {k: getattr(self, k) for k in _SUMMARY_FIELDS}
         summary.update({k: getattr(self.latency, k) for k in _LATENCY_FIELDS},
                        type="summary", simulated_inference_time=self.simulated_inference_time)
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records + [summary])
+        return "".join(_encode(r) + "\n" for r in self.records + [summary])
 
     @classmethod
     def from_records(cls, records: list) -> "EpisodeTrace":
@@ -153,9 +157,10 @@ class EpisodeTrace:
         return trace
 
 
-def _state_hash(state) -> str:
-    payload = repr((list(state.agent_pos), list(state.object_pos),
-                    list(state.goal_pos), state.gripper, state.step))
+def _state_hash(state, goal: str) -> str:
+    """sha1 of ``repr((list(a), list(o), list(g), gripper, step))``; goal is repr(list(g))."""
+    (ax, ay), (ox, oy) = state.agent_pos, state.object_pos
+    payload = f"([{ax!r}, {ay!r}], [{ox!r}, {oy!r}], {goal}, {state.gripper!r}, {state.step!r})"
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
@@ -176,13 +181,14 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
     replan guard."""
     horizon = env.config.horizon
     obs = env.reset()
+    goal = repr(list(env.state.goal_pos))
 
     def execute(action: np.ndarray):
         nonlocal obs
         record = {
             "type": "step",
             "step": env.state.step,
-            "state_hash": _state_hash(env.state),
+            "state_hash": _state_hash(env.state, goal),
             "action": action.tolist(),
         }
         obs = env.step(action)

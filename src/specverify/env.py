@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class EpisodeConfig:
             raise ConfigurationError(f"horizon: must be >= 1, got {self.horizon}")
 
 
-@dataclass(frozen=True, eq=False)
-class EnvState:
+class EnvState(NamedTuple):
     """Positions are (x, y) float pairs; arrays appear only in observations."""
 
     agent_pos: tuple
@@ -187,7 +187,7 @@ class ToyEnv:
 
     The episode seed is split into four named sub-streams (initial state,
     actuation noise, object drift, grasp failure) so disturbance sources draw
-    independently.
+    independently. A disabled source gets no generator.
     """
 
     def __init__(self, config: EpisodeConfig, seed: int,
@@ -196,11 +196,13 @@ class ToyEnv:
         self.geom = config.geometry
         self.seed = seed
         self.initial_state = initial_state
-        children = np.random.SeedSequence(seed).spawn(4)
-        self._rng_init = np.random.default_rng(children[0])
-        self._rng_actuation = np.random.default_rng(children[1])
-        self._rng_drift = np.random.default_rng(children[2])
-        self._rng_grasp = np.random.default_rng(children[3])
+        dist = config.disturbance
+        # Stream i is child i of SeedSequence(seed).spawn(4), made only if in use.
+        used = (True, dist.actuation_noise_sigma > 0, dist.object_drift_prob > 0,
+                dist.grasp_failure_prob > 0)
+        self._rng_init, self._rng_actuation, self._rng_drift, self._rng_grasp = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) if on else None
+            for i, on in enumerate(used))
         self.state: EnvState | None = None
 
     # -- episode lifecycle ---------------------------------------------------
@@ -235,13 +237,13 @@ class ToyEnv:
             raise RuntimeError("call reset() before step()")
         dist = self.config.disturbance
         noise = drift = None
-        if dist.actuation_noise_sigma > 0:
+        if self._rng_actuation is not None:
             noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2).tolist()
-        if dist.object_drift_prob > 0 and self._rng_drift.uniform() < dist.object_drift_prob:
+        if self._rng_drift is not None and self._rng_drift.uniform() < dist.object_drift_prob:
             angle = self._rng_drift.uniform(0.0, 2.0 * math.pi)
             m = dist.object_drift_magnitude
             drift = (m * math.cos(angle), m * math.sin(angle))
-        grasp_ok = self._grasp_succeeds if dist.grasp_failure_prob > 0 else None
+        grasp_ok = self._grasp_succeeds if self._rng_grasp is not None else None
         action = np.asarray(action, dtype=np.float64).tolist()
         self.state = transition(self.state, action, self.geom, noise, grasp_ok, drift)
         return render_observation(self.state)

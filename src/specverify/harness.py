@@ -435,6 +435,10 @@ def write_traces(path, traces) -> None:
             fh.write(tr.to_jsonl())
 
 
+#: ``json.loads`` of a text line, without its per-call argument handling.
+_decode = json.JSONDecoder().decode
+
+
 def read_traces(path):
     """Traces from a file written by ``write_traces``; each line is parsed once
     and a summary record closes its episode, whose counters are re-checked
@@ -448,7 +452,7 @@ def read_traces(path):
     traces, records = [], []
     for number, line in enumerate(lines, 1):
         try:
-            records.append(json.loads(line))
+            records.append(_decode(line))
             if records[-1].get("type") == "summary":
                 traces.append(EpisodeTrace.from_records(records))
                 records = []

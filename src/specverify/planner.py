@@ -69,13 +69,13 @@ class NominalRolloutPlanner:
 
     def _context_vector(self, start: EnvState, end: EnvState) -> np.ndarray:
         (ox, oy), (gx, gy) = end.object_pos, end.goal_pos
+        d = np.array([ox - gx, oy - gy])
         vec = np.zeros(self.context_width)
         vec[:_CONTEXT_BASE_WIDTH] = [
             *start.goal_pos, *start.object_pos, *start.agent_pos, float(start.gripper),
             *end.agent_pos, float(end.gripper), float(is_success(end, self.geom)),
-            # numpy's norm, not the scalar one: this value reaches the verifier,
-            # and numpy's fused dot rounds differently in the last bit.
-            float(np.linalg.norm([ox - gx, oy - gy])),
+            # np.linalg.norm's formula bit for bit, as it reaches the verifier
+            math.sqrt(d.dot(d)),
         ]
         return vec
 

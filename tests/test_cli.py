@@ -76,6 +76,35 @@ def test_sweep_and_report_round_trip(tmp_path, capsys):
     assert report_lines == sweep_lines
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_heavy_latency_exits_2(tmp_path, capsys, command):
+    """The speed-up divides by the mean inference time, which a zero t_heavy
+    would make zero: the config is rejected before anything is written."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"},
+        "batch": {"episodes": 3},
+        "controller": {"latency": {"t_heavy": 0.0, "t_verify": 0.0}},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "controller.latency.t_heavy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_cell_without_level(tmp_path, capsys):
+    """A `run` directory names its files `traces` and `reference_traces`:
+    `traces` is no disturbance level, so no row is labelled with it."""
+    out = tmp_path / "out"
+    assert main(["run", "--mode", "open-loop", "--episodes", "3",
+                 "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--traces-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {out / 'traces.jsonl'}: ")
+    assert "'traces'" in captured.err
+
+
 def test_train_saves_loadable_params(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"training": {"episodes": 2, "epochs": 2}},

@@ -34,6 +34,9 @@ class TestConfigs:
             LatencyModel(t_heavy=-1.0)
         with pytest.raises(ConfigurationError):
             LatencyModel(t_heavy=0.1, t_verify=0.2)
+        with pytest.raises(ConfigurationError, match="t_heavy: must be positive"):
+            LatencyModel(t_heavy=0.0, t_verify=0.0)
+        assert LatencyModel(t_verify=0.0).t_verify == 0.0
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,6 @@
 """Environment tests: determinism, expert completeness, disturbance streams."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ class TestDynamics:
         np.testing.assert_allclose(nxt.object_pos, [0.65, 0.7])
         assert nxt.gripper == GRIPPER_OPEN
 
+    def test_state_fields_cannot_be_assigned(self):
+        state = make_state((0.5, 0.5), (1.0, 0.5), (1.5, 1.5))
+        for name in EnvState._fields:
+            with pytest.raises(AttributeError):
+                setattr(state, name, state.step)
+
     def test_step_before_reset_raises(self):
         env = ToyEnv(EpisodeConfig(), seed=0)
         with pytest.raises(RuntimeError):
@@ -212,6 +220,25 @@ class TestSeededStreams:
             return events
 
         assert drift_steps(0.0) == drift_steps(0.05)
+
+    @pytest.mark.parametrize("noise,drift,grasp", itertools.product((False, True), repeat=3))
+    def test_streams_made_only_for_enabled_sources(self, noise, drift, grasp):
+        """Each made stream draws as child i of SeedSequence(seed).spawn(4):
+        init 0, actuation 1, drift 2, grasp 3. A disabled source has none."""
+        cfg = EpisodeConfig(disturbance=DisturbanceConfig(
+            actuation_noise_sigma=0.02 if noise else 0.0,
+            object_drift_prob=0.15 if drift else 0.0, object_drift_magnitude=0.12,
+            grasp_failure_prob=0.2 if grasp else 0.0))
+        env = ToyEnv(cfg, seed=41)
+        streams = (env._rng_init, env._rng_actuation, env._rng_drift, env._rng_grasp)
+        children = np.random.SeedSequence(41).spawn(4)
+        for on, rng, child in zip((True, noise, drift, grasp), streams, children):
+            if not on:
+                assert rng is None
+                continue
+            want = np.random.default_rng(child)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.uniform(size=8).tobytes() == want.uniform(size=8).tobytes()
 
     def test_drift_dislodges_held_object(self):
         cfg = EpisodeConfig(disturbance=DisturbanceConfig(

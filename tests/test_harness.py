@@ -292,3 +292,28 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError,
                            match=rf"{re.escape(str(path))}:{end + 1}: summary {field} is"):
             read_traces(path)
+
+    @pytest.mark.parametrize("line", [
+        '\ufeff{"type": "step", "step": 0}',  # BOM
+        '{"type": "step", "step": 0} {}',  # trailing data
+        '{"type": "step", "st',  # truncated
+        "", "[1, 2]", '"step"', "null", "7",  # blank, and not an object
+    ])
+    def test_rejects_the_lines_json_loads_rejects(self, trace_file, line):
+        path, lines = trace_file
+        try:
+            parsed = json.loads(line)
+        except ValueError:
+            pass
+        else:
+            assert not isinstance(parsed, dict)
+        path.write_text("".join(lines[:2] + [line + "\n"] + lines[2:]))
+        with pytest.raises(ConfigurationError, match=rf"{re.escape(str(path))}:3: "):
+            read_traces(path)
+
+    def test_accepts_the_lines_json_loads_accepts(self, trace_file):
+        """Whitespace around a record, which json.loads skips, changes nothing."""
+        path, lines = trace_file
+        want = [t.to_jsonl() for t in read_traces(path)]
+        path.write_text("".join(f" \t{line[:-1]} \n" for line in lines))
+        assert [t.to_jsonl() for t in read_traces(path)] == want

@@ -5,14 +5,17 @@ The env and the nominal planner run on Python floats. These properties hold
 the float64-array formulas written out below, on states that include the
 walls, the grasp and success radii within one ulp, held objects and any step
 counter. The reference planner decodes the rendered observation, so ``plan``
-from the env state is checked to lose nothing against it.
+from the env state is checked to lose nothing against it. The trace's state
+hash, which formats the floats itself, is held to the repr of the state's lists.
 """
+import hashlib
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specverify.controller import _state_hash
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, EnvState, Geometry,
                             expert_action, is_success, render_observation,
                             transition)
@@ -184,6 +187,19 @@ class TestMatchesArrayFormulas:
         assert out.chunk.dtype == np.float64 and out.chunk.shape == chunk.shape
         assert out.chunk.tobytes() == chunk.tobytes()
         assert out.context.tobytes() == context.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(env_states())
+@example(EnvState(agent_pos=(-0.0, GEOM.world_size), object_pos=(-0.0, GEOM.world_size),
+                  goal_pos=(GEOM.world_size, -0.0), gripper=GRIPPER_HOLDING, step=39))
+def test_state_hash_is_sha1_of_state_repr(state):
+    """The hash formats each float with repr, as the repr of the state's lists
+    does, and takes the goal's text once per episode."""
+    payload = repr((list(state.agent_pos), list(state.object_pos),
+                    list(state.goal_pos), state.gripper, state.step))
+    want = hashlib.sha1(payload.encode()).hexdigest()[:16]
+    assert _state_hash(state, repr(list(state.goal_pos))) == want
 
 
 def test_radius_edge_matches_numpy_norm():
