@@ -183,13 +183,13 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
     obs = env.reset()
     goal = repr(list(env.state.goal_pos))
 
-    def execute(action: np.ndarray):
+    def execute(action):
         nonlocal obs
         record = {
             "type": "step",
             "step": env.state.step,
             "state_hash": _state_hash(env.state, goal),
-            "action": action.tolist(),
+            "action": list(map(float, action)),
         }
         obs = env.step(action)
         trace.executed_steps += 1
@@ -278,7 +278,7 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
         refs = verifier.reference(np.stack(obs), np.stack(context), true_state=states,
                                   zero_context=zero_ctx, zero_observation=zero_obs)
         answers = (refs if mode is ControllerMode.VERIFIER_ONLY
-                   else decide(np.stack(planned), refs, space, threshold.tau))
+                   else decide(np.array(planned), refs, space, threshold.tau))
         live = [(ep, request) for (ep, _), answer in zip(live, answers)
                 if (request := _advance(ep, answer)) is not None]
     return traces

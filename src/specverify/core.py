@@ -1,7 +1,8 @@
 """Errors, the action box, and the deviation score shared across the package.
 
-Vectors that cross module boundaries are plain float64 arrays; input is
-validated where it enters the program (config, parameter file, score).
+Observations, contexts and reference actions are plain float64 arrays; env
+states and planned actions are float tuples. Input is validated where it
+enters the program (config, parameter file, score).
 """
 from __future__ import annotations
 

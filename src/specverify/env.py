@@ -101,15 +101,11 @@ class EnvState(NamedTuple):
     gripper: int
     step: int
 
-    @property
-    def holding(self) -> bool:
-        return self.gripper == GRIPPER_HOLDING
-
 
 def render_observation(state: EnvState) -> np.ndarray:
     """Deterministic feature-vector rendering of a state (see OBS layout above)."""
-    (ax, ay), (ox, oy) = state.agent_pos, state.object_pos
-    return np.array([ax, ay, ox, oy, ox - ax, oy - ay, float(state.gripper)])
+    (ax, ay), (ox, oy), _, gripper, _ = state
+    return np.array([ax, ay, ox, oy, ox - ax, oy - ay, float(gripper)])
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
@@ -117,20 +113,20 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def _within(dx: float, dy: float, radius: float) -> bool:
-    """``np.linalg.norm([dx, dy]) <= radius``. numpy's norm fuses a multiply-add,
-    so it can differ from ``sqrt(dx*dx + dy*dy)`` in the last bit; within
-    rounding of the radius, numpy decides."""
+def _excess(dx: float, dy: float, radius: float) -> float:
+    """A float with the sign of ``np.linalg.norm([dx, dy]) - radius``. numpy's
+    norm fuses a multiply-add, so it can differ from ``sqrt(dx*dx + dy*dy)`` in
+    the last bit; within rounding of the radius, numpy decides."""
     d2, r2 = dx * dx + dy * dy, radius * radius
     if abs(d2 - r2) > 1e-9 * r2:
-        return d2 < r2
-    return float(np.linalg.norm([dx, dy])) <= radius
+        return d2 - r2
+    return float(np.linalg.norm([dx, dy])) - radius
 
 
 def is_success(state: EnvState, geom: Geometry) -> bool:
     """Object placed within the success radius of the goal, gripper released."""
-    (ox, oy), (gx, gy) = state.object_pos, state.goal_pos
-    return state.gripper == GRIPPER_OPEN and _within(ox - gx, oy - gy, geom.success_radius)
+    _, (ox, oy), (gx, gy), gripper, _ = state
+    return gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, geom.success_radius) <= 0.0
 
 
 def expert_action(state: EnvState, geom: Geometry) -> tuple:
@@ -140,11 +136,14 @@ def expert_action(state: EnvState, geom: Geometry) -> tuple:
     each movement component is clamped to the per-step bound, so the agent
     lands exactly on targets in the disturbance-free environment.
     """
-    if not state.holding and is_success(state, geom):
-        return (0.0, 0.0, 0.0)
-    ax, ay = state.agent_pos
-    tx, ty = state.goal_pos if state.holding else state.object_pos
-    if _within(tx - ax, ty - ay, geom.success_radius if state.holding else geom.grasp_radius):
+    (ax, ay), (ox, oy), (gx, gy), gripper, _ = state
+    if gripper == GRIPPER_HOLDING:
+        tx, ty, radius = gx, gy, geom.success_radius
+    elif gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, geom.success_radius) <= 0.0:
+        return (0.0, 0.0, 0.0)  # is_success: stay
+    else:
+        tx, ty, radius = ox, oy, geom.grasp_radius
+    if _excess(tx - ax, ty - ay, radius) <= 0.0:
         return (0.0, 0.0, 1.0)  # release at the goal, grasp at the object
     b = geom.step_bound
     return (_clip(tx - ax, -b, b), _clip(ty - ay, -b, b), 0.0)
@@ -160,26 +159,25 @@ def transition(state: EnvState, action, geom: Geometry, noise=None,
     stream draws lazily), and a ``drift`` shift moves a free object or
     dislodges a held one (it slips out of the gripper and lands offset).
     """
+    (ax, ay), obj, goal, gripper, step = state
     dx, dy, grasp = action
     if noise is not None:
         dx, dy = dx + noise[0], dy + noise[1]
     wall = float(geom.world_size)
-    ax, ay = state.agent_pos
     agent = (_clip(ax + dx, 0.0, wall), _clip(ay + dy, 0.0, wall))
-    obj = agent if state.holding else state.object_pos
-    gripper = state.gripper
+    if gripper == GRIPPER_HOLDING:
+        obj = agent
     if grasp > 0.5:
         if gripper == GRIPPER_HOLDING:
             gripper = GRIPPER_OPEN
-        elif (_within(agent[0] - obj[0], agent[1] - obj[1], geom.grasp_radius)
+        elif (_excess(agent[0] - obj[0], agent[1] - obj[1], geom.grasp_radius) <= 0.0
               and (grasp_ok is None or grasp_ok())):
             gripper = GRIPPER_HOLDING
             obj = agent
     if drift is not None:
         obj = (_clip(obj[0] + drift[0], 0.0, wall), _clip(obj[1] + drift[1], 0.0, wall))
         gripper = GRIPPER_OPEN
-    return EnvState(agent_pos=agent, object_pos=obj, goal_pos=state.goal_pos,
-                    gripper=gripper, step=state.step + 1)
+    return EnvState(agent, obj, goal, gripper, step + 1)
 
 
 class ToyEnv:
@@ -187,7 +185,9 @@ class ToyEnv:
 
     The episode seed is split into four named sub-streams (initial state,
     actuation noise, object drift, grasp failure) so disturbance sources draw
-    independently. A disabled source gets no generator.
+    independently. A disabled source gets no generator. Uniform draws take
+    ``random()`` and scale it: numpy's ``uniform(low, high)`` is
+    ``low + (high - low) * random()``, from the same stream position.
     """
 
     def __init__(self, config: EpisodeConfig, seed: int,
@@ -214,20 +214,22 @@ class ToyEnv:
         return render_observation(self.state)
 
     def _sample_initial_state(self) -> EnvState:
-        geom = self.geom
-        lo, hi = 0.2, geom.world_size - 0.2
-        agent = self._rng_init.uniform(lo, hi, size=2)
-        # Rejection-sample object and goal so the phases are non-degenerate.
-        while True:
-            obj = self._rng_init.uniform(lo, hi, size=2)
-            if np.linalg.norm(obj - agent) >= 0.6:
-                break
-        while True:
-            goal = self._rng_init.uniform(lo, hi, size=2)
-            if np.linalg.norm(goal - obj) >= 0.7:
-                break
-        return EnvState(agent_pos=tuple(agent.tolist()), object_pos=tuple(obj.tolist()),
-                        goal_pos=tuple(goal.tolist()), gripper=GRIPPER_OPEN, step=0)
+        lo, rng = 0.2, self._rng_init
+        span = (self.geom.world_size - lo) - lo  # uniform(lo, hi)'s hi - lo
+
+        def point():
+            x, y = rng.random(2).tolist()
+            return (lo + span * x, lo + span * y)
+
+        # Rejection-sample object and goal so the phases are non-degenerate;
+        # each loop draws at least once, as a point is 0 away from itself.
+        agent = obj = point()
+        while _excess(obj[0] - agent[0], obj[1] - agent[1], 0.6) < 0.0:
+            obj = point()
+        goal = obj
+        while _excess(goal[0] - obj[0], goal[1] - obj[1], 0.7) < 0.0:
+            goal = point()
+        return EnvState(agent, obj, goal, GRIPPER_OPEN, 0)
 
     # -- dynamics ------------------------------------------------------------
 
@@ -239,17 +241,17 @@ class ToyEnv:
         noise = drift = None
         if self._rng_actuation is not None:
             noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2).tolist()
-        if self._rng_drift is not None and self._rng_drift.uniform() < dist.object_drift_prob:
-            angle = self._rng_drift.uniform(0.0, 2.0 * math.pi)
+        if self._rng_drift is not None and self._rng_drift.random() < dist.object_drift_prob:
+            angle = 0.0 + 2.0 * math.pi * self._rng_drift.random()
             m = dist.object_drift_magnitude
             drift = (m * math.cos(angle), m * math.sin(angle))
         grasp_ok = self._grasp_succeeds if self._rng_grasp is not None else None
-        action = np.asarray(action, dtype=np.float64).tolist()
-        self.state = transition(self.state, action, self.geom, noise, grasp_ok, drift)
+        self.state = transition(self.state, tuple(map(float, action)), self.geom,
+                                noise, grasp_ok, drift)
         return render_observation(self.state)
 
     def _grasp_succeeds(self) -> bool:
-        return self._rng_grasp.uniform() >= self.config.disturbance.grasp_failure_prob
+        return self._rng_grasp.random() >= self.config.disturbance.grasp_failure_prob
 
     def success(self) -> bool:
         return self.state is not None and is_success(self.state, self.geom)

@@ -57,6 +57,10 @@ class TrainingConfig:
     disturbance_level: str | None = None  # None = same as env
 
     def __post_init__(self):
+        if self.episodes < 1:
+            raise ConfigurationError(f"episodes: must be >= 1, got {self.episodes}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError(f"learning_rate: must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.boundaries not in BOUNDARIES:
@@ -78,6 +82,9 @@ class VerifierConfig:
     def __post_init__(self):
         if self.kind not in ("trained", "oracle"):
             raise ConfigurationError(f"kind: unknown kind {self.kind!r}")
+        _named("encoder_width", ObservationEncoder.check_width, OBS_DIM, self.encoder_width)
+        if self.hidden_width < 1:
+            raise ConfigurationError(f"hidden_width: must be >= 1, got {self.hidden_width}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,11 @@ class SweepConfig:
     modes: tuple[str, ...] = ("sv",)
 
     def __post_init__(self):
+        for f in fields(self):  # a repeated value would overwrite its cell's trace file
+            values = getattr(self, f.name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigurationError(f"{f.name}: duplicate value {value!r}")
         for k in self.chunk_sizes:
             _named("chunk_sizes", PlannerConfig, chunk_size=k)
         for tau in self.taus:

@@ -31,7 +31,7 @@ def _same_place(a: EnvState, b: EnvState) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PlannerOutput:
-    chunk: np.ndarray    # (length, action_dim), one planned action per row
+    chunk: tuple         # one planned (dx, dy, grasp) float triple per step
     context: np.ndarray  # (context_width,)
 
 
@@ -49,6 +49,7 @@ class NominalRolloutPlanner:
         self.geom = geometry
         self.chunk_size = chunk_size
         self.context_width = context_width
+        self._pad = [0.0] * (context_width - _CONTEXT_BASE_WIDTH)
 
     def plan(self, state: EnvState, max_len: int | None = None) -> PlannerOutput:
         """Produce a chunk of min(K, max_len) expert actions plus the context."""
@@ -64,20 +65,19 @@ class NominalRolloutPlanner:
                 # every later step repeats this action and this state.
                 actions += [a] * (length - len(actions))
             rollout = after
-        return PlannerOutput(chunk=np.array(actions),
+        return PlannerOutput(chunk=tuple(actions),
                              context=self._context_vector(state, rollout))
 
     def _context_vector(self, start: EnvState, end: EnvState) -> np.ndarray:
-        (ox, oy), (gx, gy) = end.object_pos, end.goal_pos
+        agent, obj, goal, gripper, _ = start
+        end_agent, (ox, oy), (gx, gy), end_gripper, _ = end
         d = np.array([ox - gx, oy - gy])
-        vec = np.zeros(self.context_width)
-        vec[:_CONTEXT_BASE_WIDTH] = [
-            *start.goal_pos, *start.object_pos, *start.agent_pos, float(start.gripper),
-            *end.agent_pos, float(end.gripper), float(is_success(end, self.geom)),
+        return np.array([
+            *goal, *obj, *agent, float(gripper),
+            *end_agent, float(end_gripper), float(is_success(end, self.geom)),
             # np.linalg.norm's formula bit for bit, as it reaches the verifier
             math.sqrt(d.dot(d)),
-        ]
-        return vec
+        ] + self._pad)
 
 
 def make_planner(kind: str, geometry: Geometry, chunk_size: int,

@@ -37,14 +37,17 @@ class ObservationEncoder:
     RAMP_SCALE = 40.0
 
     @classmethod
+    def check_width(cls, obs_dim: int, width: int) -> None:
+        """Raise unless ``width`` holds the identity block and the ramp bank."""
+        if width < (least := obs_dim * (1 + len(cls.RAMP_SHIFTS))):
+            raise ConfigurationError(f"encoder width must be >= {least} for obs dim {obs_dim}")
+
+    @classmethod
     def create(cls, obs_dim: int, width: int, seed: int = 0) -> "ObservationEncoder":
         """Frozen feature bank: a scaled-identity block keeping a near-linear
         copy of the observation, a sharp shifted-ramp block per coordinate, and
         random tanh features filling the remaining rows."""
-        n_ramp = obs_dim * len(cls.RAMP_SHIFTS)
-        if width < obs_dim + n_ramp:
-            raise ConfigurationError(
-                f"encoder width must be >= {obs_dim + n_ramp} for obs dim {obs_dim}")
+        cls.check_width(obs_dim, width)
         rng = np.random.default_rng(seed)
         w = rng.normal(0.0, 1.0 / np.sqrt(obs_dim), size=(width, obs_dim))
         b = rng.normal(0.0, 0.1, size=width)
@@ -67,10 +70,11 @@ class ObservationEncoder:
     def obs_dim(self) -> int:
         return self.weights.shape[1]
 
-    def encode_batch(self, obs: np.ndarray) -> np.ndarray:
+    def encode_batch(self, obs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Features of one observation vector, or of each row (last axis) of
-        an array of them."""
-        return np.tanh(obs @ self.weights.T + self.bias)
+        an array of them (into ``out`` if given)."""
+        z = np.matmul(obs, self.weights.T, out=out)
+        return np.tanh(np.add(z, self.bias, out=z), out=z)
 
 
 @dataclass(eq=False)
@@ -164,19 +168,20 @@ def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
     """Mini-batch gradient descent on the mean L1 objective over
     ``(observation, context, target)`` rows.
 
-    The read-only encoder runs once; mini-batches are rows of the fused input.
+    The read-only encoder runs once, into the fused input; mini-batches are its rows.
     Returns the loss trajectory (entry 0 = loss before any update) and the
     trained parameters.
     """
     if not samples:
         raise ConfigurationError("training requires a nonempty sample list")
     obs, ctx, tgt = (np.stack(column) for column in zip(*samples))
-    x = np.concatenate([encoder.encode_batch(obs), ctx], axis=1)
+    x = np.empty((n := len(obs), encoder.width + ctx.shape[1]))
+    encoder.encode_batch(obs, out=x[:, :encoder.width])
+    x[:, encoder.width:] = ctx
     params = (init.copy() if init is not None else
               VerifierParams.create(encoder.width, ctx.shape[1], hidden_width,
                                     tgt.shape[1], seed=seed))
     rng = np.random.default_rng(seed)
-    n = x.shape[0]
     hidden = np.empty((n, params.fused_width))
     losses = [mean_l1_loss(params, x, tgt, hidden)]
     for _ in range(epochs):

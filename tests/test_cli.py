@@ -116,6 +116,40 @@ def test_train_saves_loadable_params(tmp_path, capsys):
     assert "loss" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verifier,path", [
+    ({"hidden_width": 0}, "verifier.hidden_width"),
+    ({"encoder_width": 8}, "verifier.encoder_width"),
+    ({"training": {"learning_rate": -1.0}}, "verifier.training.learning_rate"),
+    ({"training": {"episodes": 0}}, "verifier.training.episodes"),
+], ids=["hidden_width", "encoder_width", "learning_rate", "episodes"])
+def test_train_rejects_unusable_verifier_settings(tmp_path, capsys, verifier, path):
+    """Settings that would save parameters `run --params` rejects, train by
+    gradient ascent, or fail after the output directory is made are rejected
+    up front, with their dotted path."""
+    training = {"episodes": 1, "epochs": 1, **verifier.get("training", {})}
+    cfg = write_config(tmp_path / "cfg.yaml", {"verifier": {**verifier, "training": training}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values,shown", [
+    ("taus", [0.2, 0.2], "0.2"), ("modes", ["sv", "sv"], "'sv'"),
+    ("chunk_sizes", [4, 4], "4"), ("disturbance_levels", ["off", "off"], "'off'"),
+], ids=["taus", "modes", "chunk_sizes", "disturbance_levels"])
+def test_sweep_rejects_repeated_axis_value(tmp_path, capsys, axis, values, shown):
+    """A repeated value would write two cells to one trace file, so `report`
+    could not rebuild the table."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"}, "batch": {"episodes": 3}, "sweep": {axis: values},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: sweep.{axis}: duplicate value {shown}\n"
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", {"controller": {"tau": 2.0}})
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 2

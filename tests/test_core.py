@@ -70,8 +70,8 @@ class TestValueObjects:
 
     def test_chunk_indexing(self):
         out = plan_once()
-        assert len(out.chunk) == 4 and out.chunk.shape == (4, 3)
-        assert out.chunk[0].tolist() == [0.25, 0.25, 0.0]  # toward the object
+        assert len(out.chunk) == 4 and np.array(out.chunk).shape == (4, 3)
+        assert out.chunk[0] == (0.25, 0.25, 0.0)  # toward the object
 
     def test_context_width(self):
         assert plan_once().context.shape == (16,)

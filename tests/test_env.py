@@ -213,7 +213,7 @@ class TestSeededStreams:
             events = []
             for t in range(25):
                 before = env.state.object_pos
-                held = env.state.holding
+                held = env.state.gripper == GRIPPER_HOLDING
                 env.step(np.zeros(3))
                 if not held and not np.allclose(env.state.object_pos, before):
                     events.append(t)

@@ -34,7 +34,7 @@ class TestPlanning:
                          goal_pos=[1.8, 1.8], gripper=0, step=3)
         out = planner.plan(state)
         assert len(out.chunk) == 6
-        assert out.chunk.shape == (6, 3)
+        assert np.array(out.chunk).shape == (6, 3)
 
     def test_max_len_truncates(self, geometry):
         planner = NominalRolloutPlanner(geometry, chunk_size=16)
@@ -84,9 +84,8 @@ class TestPlanning:
         state = EnvState(agent_pos=[0.0, 1.0], object_pos=[0.0, 1.0],
                          goal_pos=[1.0, 1.0], gripper=GRIPPER_HOLDING, step=0)
         out = planner.plan(state)
-        moves = out.chunk.tolist()
-        assert moves == [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0],
-                         [0.25, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        assert out.chunk == ((0.25, 0.0, 0.0), (0.25, 0.0, 0.0),
+                             (0.25, 0.0, 0.0), (0.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("agent_x", (0.5, -0.0))
     def test_solved_state_stops_rolling_out(self, geometry, monkeypatch, agent_x):
@@ -100,4 +99,4 @@ class TestPlanning:
                          goal_pos=(1.5, 1.5), gripper=0, step=0)
         out = NominalRolloutPlanner(geometry, chunk_size=16).plan(state)
         assert len(calls) == (1 if agent_x == 0.5 else 2)
-        assert out.chunk.tolist() == [[0.0, 0.0, 0.0]] * 16
+        assert out.chunk == ((0.0, 0.0, 0.0),) * 16

@@ -7,16 +7,21 @@ walls, the grasp and success radii within one ulp, held objects and any step
 counter. The reference planner decodes the rendered observation, so ``plan``
 from the env state is checked to lose nothing against it. The trace's state
 hash, which formats the floats itself, is held to the repr of the state's lists.
+The env draws through ``Generator.random``; it is held state for state to the
+``uniform()`` draws it replaced, the initial-state sampler included.
 """
 import hashlib
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specverify.controller import _state_hash
-from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, EnvState, Geometry,
+from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig,
+                            EnvState, EpisodeConfig, Geometry, ToyEnv, _excess,
                             expert_action, is_success, render_observation,
                             transition)
 from specverify.planner import NominalRolloutPlanner
@@ -184,8 +189,10 @@ class TestMatchesArrayFormulas:
         out = NominalRolloutPlanner(GEOM, chunk_size, context_width).plan(state)
         chunk, context = np_plan(render_observation(state), state.goal_pos,
                                  chunk_size, context_width)
-        assert out.chunk.dtype == np.float64 and out.chunk.shape == chunk.shape
-        assert out.chunk.tobytes() == chunk.tobytes()
+        assert all(type(a) is tuple and len(a) == 3 and all(type(v) is float for v in a)
+                   for a in out.chunk)
+        assert np.array(out.chunk).shape == chunk.shape
+        assert np.array(out.chunk).tobytes() == chunk.tobytes()
         assert out.context.tobytes() == context.tobytes()
 
 
@@ -217,3 +224,124 @@ def test_radius_edge_matches_numpy_norm():
                             gripper=GRIPPER_OPEN, step=0)
             assert bits(expert_action(free, GEOM)) == bits(np_expert_action(*arrays_of(free)))
             assert is_success(free, GEOM) == np_is_success(*arrays_of(free))
+
+
+# -- the env's draws against numpy's uniform() ---------------------------------
+
+
+def stream(seed, i):
+    """Stream i of an episode seed, as ``ToyEnv`` makes it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def np_initial_state(rng, world_size, points=None):
+    """The old sampler; each point it draws is appended to ``points``."""
+    lo, hi = 0.2, world_size - 0.2
+
+    def draw():
+        p = rng.uniform(lo, hi, size=2)
+        if points is not None:
+            points.append(p)
+        return p
+
+    agent = draw()
+    while True:
+        obj = draw()
+        if np.linalg.norm(obj - agent) >= 0.6:
+            break
+    while True:
+        goal = draw()
+        if np.linalg.norm(goal - obj) >= 0.7:
+            break
+    return agent, obj, goal, GRIPPER_OPEN
+
+
+class UniformEnv:
+    """The env as it drew with ``uniform()``, on the array formulas; it counts
+    the drift events and the grasp draws."""
+
+    def __init__(self, dist: DisturbanceConfig, seed: int):
+        self.dist = dist
+        self.init = stream(seed, 0)
+        self.actuation, self.drift, self.grasp = (
+            stream(seed, i) if on else None for i, on in
+            enumerate((dist.actuation_noise_sigma > 0, dist.object_drift_prob > 0,
+                       dist.grasp_failure_prob > 0), 1))
+        self.arrays = np_initial_state(self.init, GEOM.world_size)
+        self.drifts = self.grasp_draws = 0
+
+    def grasp_ok(self):
+        self.grasp_draws += 1
+        return self.grasp.uniform() >= self.dist.grasp_failure_prob
+
+    def step(self, action):
+        noise = drift = None
+        if self.actuation is not None:
+            noise = self.actuation.normal(0.0, self.dist.actuation_noise_sigma, size=2).tolist()
+        if self.drift is not None and self.drift.uniform() < self.dist.object_drift_prob:
+            self.drifts += 1
+            angle = self.drift.uniform(0.0, 2.0 * math.pi)
+            m = self.dist.object_drift_magnitude
+            drift = (m * math.cos(angle), m * math.sin(angle))
+        grasp_ok = self.grasp_ok if self.grasp is not None else None
+        self.arrays = np_transition(*self.arrays, np.asarray(action, dtype=np.float64),
+                                    noise, grasp_ok, drift)
+
+
+@pytest.mark.parametrize("noise,drift,grasp", itertools.product((False, True), repeat=3))
+def test_env_draws_match_uniform(noise, drift, grasp):
+    """``random()`` in place of ``uniform()`` moves no state: under an action
+    script (the expert's action, with a grasp every third step) the env
+    matches the old draws state for state, and each stream ends where the old
+    one does."""
+    dist = DisturbanceConfig(actuation_noise_sigma=0.3 if noise else 0.0,
+                             object_drift_prob=0.9 if drift else 0.0,
+                             object_drift_magnitude=0.12,
+                             grasp_failure_prob=0.7 if grasp else 0.0)
+    drifts = grasp_draws = 0
+    for seed in range(30):
+        env, old = ToyEnv(EpisodeConfig(disturbance=dist), seed), UniformEnv(dist, seed)
+        env.reset()
+        assert same_state(env.state, old.arrays)
+        for t in range(40):
+            action = expert_action(env.state, GEOM)
+            if t % 3 == 2:
+                action = (action[0], action[1], 1.0)
+            env.step(np.array(action))
+            old.step(action)
+            assert same_state(env.state, old.arrays) and env.state.step == t + 1
+        for got, want in zip((env._rng_actuation, env._rng_drift, env._rng_grasp),
+                             (old.actuation, old.drift, old.grasp)):
+            assert (got is None) == (want is None)
+            assert got is None or got.bit_generator.state == want.bit_generator.state
+        drifts, grasp_draws = drifts + old.drifts, grasp_draws + old.grasp_draws
+    assert (drifts > 0) == drift and (grasp_draws > 0) == grasp
+
+
+@pytest.mark.parametrize("world_size", [2.0, 1.5])
+def test_initial_state_matches_uniform(world_size):
+    """The sampled initial state is the old array formula's, draw for draw; in
+    a 1.5-wide world the 0.6 and 0.7 rejection loops run often and near the
+    edge of the box."""
+    config = EpisodeConfig(geometry=Geometry(world_size=world_size))
+    points = []
+    for seed in range(500):
+        env, rng = ToyEnv(config, seed), stream(seed, 0)
+        env.reset()
+        assert same_state(env.state, np_initial_state(rng, world_size, points))
+        assert env.state.step == 0
+        assert env._rng_init.bit_generator.state == rng.bit_generator.state
+    assert len(points) > 3 * 500  # some loops rejected a draw
+
+
+def test_rejection_edge_matches_numpy_norm():
+    """The initial state's separation tests, ``norm >= 0.6`` and ``>= 0.7``,
+    agree with ``np.linalg.norm`` within an ulp of the separation."""
+    rng = np.random.default_rng(1)
+    for separation in (0.6, 0.7):
+        rs = [math.nextafter(separation, 0.0), separation, math.nextafter(separation, math.inf)]
+        for _ in range(5000):
+            r, angle = float(rng.choice(rs)), rng.uniform(0.0, 2.0 * math.pi)
+            dx, dy = r * math.cos(angle), r * math.sin(angle)
+            want = float(np.linalg.norm(np.array([dx, dy]))) >= separation
+            assert (_excess(dx, dy, separation) >= 0.0) == want

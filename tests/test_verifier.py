@@ -68,6 +68,19 @@ class TestEncoder:
         for i in range(5):
             np.testing.assert_allclose(batch[i], encoder.encode_batch(obs_matrix[i]))
 
+    def test_encode_into_columns_of_wider_buffer(self, encoder):
+        """Training encodes straight into the leading columns of the fused
+        input: the same bits as a fresh result and as the plain formula, and
+        the columns after them are left alone."""
+        obs = np.random.default_rng(5).uniform(0, 2, size=(300, OBS_DIM))
+        buf = np.full((300, encoder.width + 3), 7.0)
+        out = encoder.encode_batch(obs, out=buf[:, :encoder.width])
+        assert np.shares_memory(out, buf)
+        plain = np.tanh(obs @ encoder.weights.T + encoder.bias)
+        assert buf[:, :encoder.width].tobytes() == plain.tobytes()
+        assert encoder.encode_batch(obs).tobytes() == plain.tobytes()
+        assert np.all(buf[:, encoder.width:] == 7.0)
+
     def test_same_seed_same_encoder(self):
         a = ObservationEncoder.create(OBS_DIM, 64, seed=9)
         b = ObservationEncoder.create(OBS_DIM, 64, seed=9)
