@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -98,8 +98,36 @@ _SUMMARY_FIELDS = ("seed", "mode", "chunk_size", "tau", "heavy_calls", "verifier
                    "executed_steps", "replans", "guard_hit", "success",
                    "steps_before_replan", "completed_chunk_lengths")
 _LATENCY_FIELDS = ("t_heavy", "t_verify", "t_ctrl")
-#: ``json.dumps(r, sort_keys=True)`` without building an encoder per record.
+#: ``json.dumps(r, sort_keys=True)`` without building an encoder per call; it
+#: writes the summary line and a non-finite float.
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_float(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    return repr(x) if math.isfinite(x) else _encode(x)
+
+
+# The two record lines, each ``json.dumps(r, sort_keys=True)`` spelled out: keys
+# in sorted order, json's separators, a finite float as its repr (what json
+# writes for one; ``format(x, "")`` is that repr too). A state hash is hex, so
+# it needs no escaping. A verifier-only step executes the verifier's clamped
+# row, and clipping passes NaN through, so a non-finite action is spelled as
+# json spells it.
+def _step_line(r: dict) -> str:
+    a0, a1, a2 = action = r["action"]
+    if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
+        a0, a1, a2 = map(_json_float, action)
+    return (f'{{"action": [{a0}, {a1}, {a2}], "state_hash": "{r["state_hash"]}", '
+            f'"step": {r["step"]}, "type": "step"}}\n')
+
+
+def _decision_line(r: dict) -> str:
+    return (f'{{"accept": {"true" if r["accept"] else "false"}, '
+            f'"score": {_json_float(r["score"])}, "step": {r["step"]}, "type": "decision"}}\n')
+
+
+_RECORD_LINE = {"step": _step_line, "decision": _decision_line}
 
 
 @dataclass(eq=False)
@@ -130,25 +158,34 @@ class EpisodeTrace:
         summary = {k: getattr(self, k) for k in _SUMMARY_FIELDS}
         summary.update({k: getattr(self.latency, k) for k in _LATENCY_FIELDS},
                        type="summary", simulated_inference_time=self.simulated_inference_time)
-        return "".join(_encode(r) + "\n" for r in self.records + [summary])
+        lines = [_RECORD_LINE[r["type"]](r) for r in self.records]
+        lines.append(_encode(summary) + "\n")
+        return "".join(lines)
 
     @classmethod
-    def from_records(cls, records: list) -> "EpisodeTrace":
-        """Rebuild a trace from its parsed records, the summary record last,
-        checking the summary's step count, verifier calls (sv modes) and
-        simulated time against the records and the accounting identity."""
-        summary = records[-1]
-        if summary.get("type") != "summary":
-            raise ConfigurationError("trace lacks a summary record")
+    def from_summary(cls, summary: dict, records: list, steps: int, decisions: int,
+                     latencies: dict) -> "EpisodeTrace":
+        """Rebuild a trace from its summary record and the ``records`` before
+        it, of which ``steps`` are step and ``decisions`` decision records. The
+        summary's step count, verifier calls (sv modes) and simulated time are
+        checked against them and against the accounting identity.
+
+        ``latencies`` holds one LatencyModel per distinct latency triple for
+        the traces read together. Its key is the triple's reprs, so 1 and 1.0,
+        or 0.0 and -0.0, get models of their own and are written back as read.
+        """
         missing = [k for k in _SUMMARY_FIELDS + _LATENCY_FIELDS if k not in summary]
         if missing:
             raise ConfigurationError(f"summary record lacks {missing}")
-        trace = cls(latency=LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS}),
-                    records=records[:-1], **{k: summary[k] for k in _SUMMARY_FIELDS})
-        kinds = Counter(r.get("type") for r in trace.records)
-        checks = {"executed_steps": kinds["step"]}
+        key = tuple(repr(summary[k]) for k in _LATENCY_FIELDS)
+        latency = latencies.get(key)
+        if latency is None:
+            latency = latencies[key] = LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS})
+        trace = cls(latency=latency, records=records,
+                    **{k: summary[k] for k in _SUMMARY_FIELDS})
+        checks = {"executed_steps": steps}
         if ControllerMode(trace.mode).is_sv:
-            checks["verifier_calls"] = kinds["decision"]
+            checks["verifier_calls"] = decisions
         checks["simulated_inference_time"] = trace.simulated_inference_time
         for name, expected in checks.items():
             if summary.get(name) != expected:

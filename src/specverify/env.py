@@ -26,6 +26,12 @@ GRIPPER_HOLDING = 1
 #: state, and the planning context carries it to the verifier.
 OBS_DIM = 7
 
+#: ToyEnv._sample_initial_state draws positions in [0.2, world_size - 0.2]^2
+#: and the goal at least 0.7 from the object. An object at the centre of that
+#: box has a goal to draw only if the box's half-diagonal exceeds 0.7; in a
+#: smaller world the goal's rejection loop can run forever.
+_MIN_WORLD_SIZE = 2 * 0.2 + 0.7 * math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -40,6 +46,10 @@ class Geometry:
         for name in ("world_size", "step_bound", "grasp_radius", "success_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.world_size <= _MIN_WORLD_SIZE:
+            raise ConfigurationError(
+                f"world_size: must exceed {_MIN_WORLD_SIZE:.4f}, so that every object "
+                f"position has a goal 0.7 away, got {self.world_size}")
         b = self.step_bound
         object.__setattr__(self, "_space", ActionSpace(lower=[-b, -b, 0.0], upper=[b, b, 1.0]))
 

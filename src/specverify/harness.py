@@ -452,22 +452,34 @@ _decode = json.JSONDecoder().decode
 
 
 def read_traces(path):
-    """Traces from a file written by ``write_traces``; each line is parsed once
-    and a summary record closes its episode, whose counters are re-checked
-    against its records. A damaged or empty file raises ConfigurationError
-    naming the file (and the line)."""
+    """Traces from a file written by ``write_traces``. Each line is parsed
+    once and counted by record type as it is read; a summary record closes its
+    episode, whose counters are re-checked against those counts. A damaged or
+    empty file, or a record of another type, raises ConfigurationError naming
+    the file (and the line)."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not text
         raise ConfigurationError(f"{path}: cannot read: {getattr(exc, 'strerror', exc)}") from exc
-    traces, records = [], []
+    traces, records, latencies = [], [], {}
+    steps = decisions = 0
     for number, line in enumerate(lines, 1):
         try:
-            records.append(_decode(line))
-            if records[-1].get("type") == "summary":
-                traces.append(EpisodeTrace.from_records(records))
-                records = []
+            record = _decode(line)
+            kind = record.get("type")
+            if kind == "step":
+                steps += 1
+            elif kind == "decision":
+                decisions += 1
+            elif kind == "summary":
+                traces.append(EpisodeTrace.from_summary(record, records, steps, decisions,
+                                                        latencies))
+                records, steps, decisions = [], 0, 0
+                continue
+            else:
+                raise ConfigurationError(f"unknown record type {kind!r}")
+            records.append(record)
         except (ValueError, AttributeError, TypeError) as exc:  # not an object; wrong type
             raise ConfigurationError(f"{path}:{number}: {exc}") from exc
     if records:
@@ -490,11 +502,28 @@ def reference_batch(cfg: ExperimentConfig, disturbance_level: str | None = None)
                      disturbance_level=disturbance_level, verifier=None)
 
 
+def _one_step(mode: ControllerMode, k: int) -> bool:
+    """A chunk of one action has no step to verify, so at K=1 every mode but
+    verifier-only runs the same episodes; only the mode and tau labels differ."""
+    return k == 1 and mode is not ControllerMode.VERIFIER_ONLY
+
+
+def _relabelled(traces, mode: str, tau):
+    """Copies of ``traces`` labelled with another mode and tau, each with its
+    own lists; the records themselves are shared, and never changed."""
+    return [replace(t, mode=mode, tau=tau, records=list(t.records),
+                    steps_before_replan=list(t.steps_before_replan),
+                    completed_chunk_lengths=list(t.completed_chunk_lengths))
+            for t in traces]
+
+
 def run_sweep(cfg: ExperimentConfig):
     """Cartesian product of sweep axes; returns (rows, cells, references).
 
     cells maps cell-name -> traces; references maps disturbance level -> the
-    reference-baseline traces used for that level's speed-up column.
+    reference-baseline traces used for that level's speed-up column. Each
+    level runs its K=1 batch (see ``_one_step``) once, the reference included:
+    the other cells it serves get relabelled copies.
     """
     if not (cfg.sweep.chunk_sizes and cfg.sweep.taus
             and cfg.sweep.disturbance_levels and cfg.sweep.modes):
@@ -505,14 +534,21 @@ def run_sweep(cfg: ExperimentConfig):
     rows, cells, references = [], {}, {}
     for level in cfg.sweep.disturbance_levels:
         references[level] = reference_batch(cfg, level)
+        one_step = (references[level] if _one_step(ControllerMode(cfg.reference.mode),
+                                                    cfg.reference.chunk_size) else None)
         for mode in cfg.sweep.modes:
             mode_e = ControllerMode(mode)
             for k in cfg.sweep.chunk_sizes:
                 taus = cfg.sweep.taus if mode_e.is_sv else (None,)
                 for tau in taus:
-                    traces = run_batch(cfg, mode=mode, chunk_size=k, tau=tau,
-                                       disturbance_level=level,
-                                       verifier=verifier if mode_e.needs_verifier else None)
+                    if one_step is not None and _one_step(mode_e, k):
+                        traces = _relabelled(one_step, mode, tau)
+                    else:
+                        traces = run_batch(cfg, mode=mode, chunk_size=k, tau=tau,
+                                           disturbance_level=level,
+                                           verifier=verifier if mode_e.needs_verifier else None)
+                        if _one_step(mode_e, k):
+                            one_step = traces
                     name = f"{mode}_K{k}" + (f"_tau{tau}" if tau is not None else "") \
                         + f"_{level}"
                     cells[name] = traces

@@ -1,4 +1,7 @@
 """End-to-end CLI tests through main() with oracle-verifier configs."""
+import contextlib
+import signal
+
 import yaml
 
 import pytest
@@ -10,6 +13,21 @@ from specverify.verifier import load_verifier
 def write_config(path, data):
     path.write_text(yaml.safe_dump(data))
     return str(path)
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise TimeoutError inside the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_help_exits_zero(capsys):
@@ -89,6 +107,34 @@ def test_zero_heavy_latency_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "controller.latency.t_heavy" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_world_too_small_for_a_goal_exits_2(tmp_path, capsys):
+    """In a 1.2-wide world an object near the centre of the start box has no
+    point 0.7 away to put the goal on, so sampling a start state could spin
+    forever: the world size is rejected before anything is written."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"},
+        "env": {"world_size": 1.2},
+    })
+    out = tmp_path / "out"
+    with time_budget(20):
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "configuration error: env.world_size: must exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_world_just_above_the_limit_runs_to_the_end(tmp_path, capsys):
+    """Just above the smallest accepted size the goal's draw is rare near the
+    centre, but every start state is still found quickly."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"},
+        "env": {"world_size": 1.4},
+        "batch": {"episodes": 20},
+    })
+    with time_budget(20):
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
 
 
 def test_report_rejects_cell_without_level(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Controller tests: decision rule, cost model, episode loop, traces."""
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specverify.core import ActionSpace, ConfigurationError, ContractViolation
@@ -265,11 +266,45 @@ class TestTraces:
     def test_jsonl_round_trip(self):
         env = clean_env(seed=4, disturbance=DisturbanceConfig.moderate())
         tr = run(env, "sv", chunk_size=8)
-        back = EpisodeTrace.from_records([json.loads(line)
-                                          for line in tr.to_jsonl().splitlines()])
+        *records, summary = [json.loads(line) for line in tr.to_jsonl().splitlines()]
+        kinds = [r["type"] for r in records]
+        back = EpisodeTrace.from_summary(summary, records, kinds.count("step"),
+                                         kinds.count("decision"), {})
         assert back.to_jsonl() == tr.to_jsonl()
         assert back.simulated_inference_time == tr.simulated_inference_time
 
     def test_missing_summary_rejected(self):
-        with pytest.raises(ValueError):
-            EpisodeTrace.from_records([{"type": "step", "step": 0}])
+        with pytest.raises(ValueError, match="summary record lacks"):
+            EpisodeTrace.from_summary({"type": "step", "step": 0}, [], 1, 0, {})
+
+
+#: Floats where json's spelling is least obvious: signed zeros, subnormals,
+#: the magnitudes where repr switches to exponent form (1e16 and up, 1e-5 and
+#: down), and the non-finite values json spells NaN, Infinity and -Infinity.
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+                     9999999999999998.0, 1e-4, 1e-5, 9.999999999999999e-06,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(min_value=1e16), st.floats(max_value=-1e16),
+    st.floats(min_value=-1e-5, max_value=1e-5),
+)
+STEPS = st.one_of(st.integers(0, 40), st.integers(0, 2**80))
+STEP_RECORDS = st.fixed_dictionaries({
+    "type": st.just("step"), "step": STEPS,
+    "state_hash": st.text("0123456789abcdef", min_size=16, max_size=16),
+    "action": st.lists(EDGE_FLOATS, min_size=3, max_size=3)})
+DECISION_RECORDS = st.fixed_dictionaries({
+    "type": st.just("decision"), "step": STEPS, "accept": st.booleans(), "score": EDGE_FLOATS})
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(STEP_RECORDS, DECISION_RECORDS), min_size=1, max_size=6))
+@example([{"type": "step", "step": 0, "state_hash": "0" * 16, "action": [math.nan, math.inf, -0.0]},
+          {"type": "decision", "step": 1, "accept": False, "score": -math.inf}])
+def test_record_lines_are_json_dumps(records):
+    """Each record line has the bytes of ``json.dumps(r, sort_keys=True)``."""
+    trace = EpisodeTrace(seed=0, mode="sv", chunk_size=4, tau=0.2, latency=LatencyModel(),
+                         records=records)
+    lines = trace.to_jsonl().splitlines(keepends=True)
+    assert lines[:-1] == [json.dumps(r, sort_keys=True) + "\n" for r in records]

@@ -11,9 +11,9 @@ from specverify.cli import main
 from specverify.core import ConfigurationError
 from specverify.harness import (CSV_COLUMNS, ExperimentConfig, aggregate,
                                 config_from_dict, config_to_dict, load_config,
-                                read_traces, rows_to_csv, run_batch, run_sweep,
-                                save_config, write_traces)
-from specverify.controller import EpisodeTrace, LatencyModel
+                                read_traces, reference_batch, rows_to_csv, run_batch,
+                                run_sweep, save_config, write_traces)
+from specverify.controller import ControllerMode, EpisodeTrace, LatencyModel
 
 
 def oracle_config(**env_overrides) -> ExperimentConfig:
@@ -229,6 +229,55 @@ class TestSweep:
         assert [t.to_jsonl() for t in cells["sv_K4_tau0.2_off"]] == \
             [t.to_jsonl() for t in direct]
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"sweep": {"modes": ["sv", "sv-without-context"]}},
+        {"reference": {"chunk_size": 1}},
+        {"sweep": {"modes": ["verifier-only", "open-loop", "sv"]}},
+    ], ids=["default_grid", "two_sv_modes", "reference_K1", "other_modes"])
+    def test_one_step_cells_match_direct_runs(self, overrides):
+        """A sweep runs each level's K=1 batch once and relabels it for the
+        other K=1 cells; each has the bytes of its own direct run."""
+        cfg = config_from_dict({"verifier": {"kind": "oracle"}, "batch": {"episodes": 4},
+                                **overrides})
+        _, cells, references = run_sweep(cfg)
+        checked = 0
+        for level in cfg.sweep.disturbance_levels:
+            assert [t.to_jsonl() for t in references[level]] == \
+                [t.to_jsonl() for t in reference_batch(cfg, level)]
+            for mode in cfg.sweep.modes:
+                for tau in cfg.sweep.taus if ControllerMode(mode).is_sv else (None,):
+                    direct = run_batch(cfg, mode=mode, chunk_size=1, tau=tau,
+                                       disturbance_level=level)
+                    name = f"{mode}_K1" + (f"_tau{tau}" if tau else "") + f"_{level}"
+                    assert [t.to_jsonl() for t in cells[name]] == \
+                        [t.to_jsonl() for t in direct]
+                    checked += 1
+        assert checked == sum("_K1_" in name for name in cells)
+
+    def test_default_grid_runs_sixteen_batches(self, monkeypatch):
+        """2 levels x (a reference, one K=1 batch, 3 taus at K=4 and at K=16)."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("chunk_size"))
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr("specverify.harness.run_batch", counting)
+        run_sweep(config_from_dict({"verifier": {"kind": "oracle"}, "batch": {"episodes": 2}}))
+        assert len(calls) == 16
+        assert calls.count(1) == 2
+
+    def test_cells_share_no_lists(self):
+        cfg = config_from_dict({"verifier": {"kind": "oracle"}, "batch": {"episodes": 3},
+                                "sweep": {"modes": ["sv", "open-loop"]},
+                                "reference": {"chunk_size": 1}})
+        _, cells, references = run_sweep(cfg)
+        traces = [t for group in (*cells.values(), *references.values()) for t in group]
+        lists = [getattr(t, name) for t in traces
+                 for name in ("records", "steps_before_replan", "completed_chunk_lengths")]
+        assert len({id(x) for x in lists}) == len(lists) == 3 * len(traces)
+
     def test_empty_axes_rejected(self):
         cfg = oracle_config()
         cfg = replace(cfg, sweep=replace(cfg.sweep, taus=()))
@@ -310,6 +359,30 @@ class TestTraceFiles:
         path.write_text("".join(lines[:2] + [line + "\n"] + lines[2:]))
         with pytest.raises(ConfigurationError, match=rf"{re.escape(str(path))}:3: "):
             read_traces(path)
+
+    @pytest.mark.parametrize("kind", [[], ["step"], {}, {"step": 1}, "stop", None])
+    def test_rejects_other_record_types(self, trace_file, kind):
+        path, lines = trace_file
+        record = json.dumps({"type": kind, "step": 0}) if kind is not None else '{"step": 0}'
+        path.write_text("".join(lines[:2] + [record + "\n"] + lines[2:]))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:3: unknown record type"):
+            read_traces(path)
+
+    def test_latencies_written_back_as_read(self, tmp_path):
+        """Traces that differ only in how a latency is spelled (1 or 1.0,
+        0.0 or -0.0) keep their spelling through a read and a write."""
+        traces = []
+        for latency in ({"t_heavy": 1}, {"t_heavy": 1.0}, {"t_ctrl": 0.0}, {"t_ctrl": -0.0}):
+            cfg = config_from_dict({"verifier": {"kind": "oracle"},
+                                    "controller": {"latency": latency}})
+            traces += run_batch(cfg, episodes=2)
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        write_traces(first, traces)
+        for spelling in ('"t_heavy": 1,', '"t_heavy": 1.0,', '"t_ctrl": 0.0,', '"t_ctrl": -0.0,'):
+            assert spelling in first.read_text()
+        write_traces(again, read_traces(first))
+        assert again.read_bytes() == first.read_bytes()
 
     def test_accepts_the_lines_json_loads_accepts(self, trace_file):
         """Whitespace around a record, which json.loads skips, changes nothing."""
