@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError, deviation_score
-from .env import ToyEnv
+from .core import ActionSpace, ConfigurationError, deviation_score, is_finite_number
+from .env import ToyEnv, render_observations
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class LatencyModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if (value := getattr(self, f.name)) < 0:
+            if not is_finite_number(value := getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name}: expected a finite float, got {value!r}")
+            if value < 0:
                 raise ConfigurationError(f"{f.name}: must be nonnegative, got {value}")
         if self.t_heavy == 0:  # every episode plans, so the mean inference time is positive
             raise ConfigurationError(f"t_heavy: must be positive, got {self.t_heavy}")
@@ -129,6 +131,31 @@ def _decision_line(r: dict) -> str:
 
 _RECORD_LINE = {"step": _step_line, "decision": _decision_line}
 
+#: json's numbers; a bool is neither, though Python counts it an int.
+_NUMBER = frozenset((int, float))
+
+
+def _step_writable(r: dict) -> bool:
+    """Keys type, step, state_hash and action only: an int step, a hash of
+    ASCII letters and digits (the writer does not escape it) and a list of
+    three numbers, which may be non-finite."""
+    hash_, action = r.get("state_hash"), r.get("action")
+    return (len(r) == 4 and type(r.get("step")) is int and type(hash_) is str
+            and hash_.isascii() and hash_.isalnum() and type(action) is list
+            and len(action) == 3 and type(action[0]) in _NUMBER
+            and type(action[1]) in _NUMBER and type(action[2]) in _NUMBER)
+
+
+def _decision_writable(r: dict) -> bool:
+    """Keys type, step, accept and score only: an int step, a bool and a number."""
+    return (len(r) == 4 and type(r.get("step")) is int and type(r.get("accept")) is bool
+            and type(r.get("score")) in _NUMBER)
+
+
+#: Per record type: whether a decoded record of that type has exactly the keys
+#: and value types its line writer above takes, so it is written back as read.
+RECORD_CHECKS = {"step": _step_writable, "decision": _decision_writable}
+
 
 @dataclass(eq=False)
 class EpisodeTrace:
@@ -194,10 +221,26 @@ class EpisodeTrace:
         return trace
 
 
-def _state_hash(state, goal: str) -> str:
-    """sha1 of ``repr((list(a), list(o), list(g), gripper, step))``; goal is repr(list(g))."""
-    (ax, ay), (ox, oy) = state.agent_pos, state.object_pos
-    payload = f"([{ax!r}, {ay!r}], [{ox!r}, {oy!r}], {goal}, {state.gripper!r}, {state.step!r})"
+def _state_hash(state, goal: str, memo: list | None = None) -> str:
+    """sha1 of ``repr((list(a), list(o), list(g), gripper, step))``; goal is repr(list(g)).
+
+    ``memo``, one episode's ``[object, text]`` pair, saves formatting the
+    object: its text is reused while the state holds the very object of the
+    previous call (a free object that did not drift), and is the agent's text
+    when the object is the agent's own pair (held). Nothing changes a
+    position in place, so the same object has the same text.
+    """
+    agent, obj = state.agent_pos, state.object_pos
+    agent_text = f"[{agent[0]!r}, {agent[1]!r}]"
+    if obj is agent:
+        obj_text = agent_text
+    elif memo is not None and obj is memo[0]:
+        obj_text = memo[1]
+    else:
+        obj_text = f"[{obj[0]!r}, {obj[1]!r}]"
+    if memo is not None:
+        memo[0], memo[1] = obj, obj_text
+    payload = f"({agent_text}, {obj_text}, {goal}, {state.gripper!r}, {state.step!r})"
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
@@ -212,23 +255,24 @@ def cost_bounds(latency: LatencyModel, chunk_size: int):
 def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdConfig,
              trace: EpisodeTrace):
     """One episode's loop, filling ``trace``, as a generator: it yields each
-    verification request ``(obs, context, true_state, planned_action)`` and
-    is sent the answer, the Decision in the sv modes and the reference action
-    in verifier-only. It returns at success, horizon exhaustion, or the
+    verification request ``(context, true_state, planned_action)`` and is sent
+    the answer, the Decision in the sv modes and the reference action (a float
+    list) in verifier-only. It returns at success, horizon exhaustion, or the
     replan guard."""
     horizon = env.config.horizon
-    obs = env.reset()
+    env.reset()
     goal = repr(list(env.state.goal_pos))
+    memo = [None, ""]
 
     def execute(action):
-        nonlocal obs
+        state = env.state
         record = {
             "type": "step",
-            "step": env.state.step,
-            "state_hash": _state_hash(env.state, goal),
-            "action": list(map(float, action)),
+            "step": state.step,
+            "state_hash": _state_hash(state, goal, memo),
+            "action": list(action),
         }
-        obs = env.step(action)
+        env.step(action)
         trace.executed_steps += 1
         trace.records.append(record)
 
@@ -241,7 +285,7 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
         execute(out.chunk[0])
         while not env.success() and env.state.step < horizon:
             trace.verifier_calls += 1
-            execute((yield obs, out.context, env.state, None))
+            execute((yield out.context, env.state, None))
     else:  # sv and its input ablations; open-loop is sv with verification off
         verify = mode.is_sv
         while not env.success() and env.state.step < horizon:
@@ -254,7 +298,7 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
                     break
                 if verify:
                     trace.verifier_calls += 1
-                    decision = yield obs, out.context, env.state, out.chunk[i]
+                    decision = yield out.context, env.state, out.chunk[i]
                     trace.records.append({
                         "type": "decision",
                         "step": env.state.step,
@@ -292,7 +336,8 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
     """Run one episode per env in lockstep, returning their traces in order.
 
     Each control step advances every live episode to its next verification
-    request; one ``verifier.reference`` call on the stacked rows and one
+    request; the observations of the requesting states are rendered there, as
+    one array, and one ``verifier.reference`` call on those rows and one
     ``decide`` over them serve all of these requests. The env and planner stay
     per episode, so each episode draws and computes exactly as it would alone.
     """
@@ -311,10 +356,11 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
     zero_obs = mode is ControllerMode.SV_NO_OBSERVATION
     space = envs[0].geom.action_space() if envs else None
     while live:
-        obs, context, states, planned = zip(*(request for _, request in live))
-        refs = verifier.reference(np.stack(obs), np.stack(context), true_state=states,
-                                  zero_context=zero_ctx, zero_observation=zero_obs)
-        answers = (refs if mode is ControllerMode.VERIFIER_ONLY
+        context, states, planned = zip(*(request for _, request in live))
+        refs = verifier.reference(render_observations(states), np.stack(context),
+                                  true_state=states, zero_context=zero_ctx,
+                                  zero_observation=zero_obs)
+        answers = (refs.tolist() if mode is ControllerMode.VERIFIER_ONLY
                    else decide(np.array(planned), refs, space, threshold.tau))
         live = [(ep, request) for (ep, _), answer in zip(live, answers)
                 if (request := _advance(ep, answer)) is not None]

@@ -6,6 +6,7 @@ enters the program (config, parameter file, score).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ class ContractViolation(ValueError):
 
 class ConfigurationError(ValueError):
     """An invalid configuration value or combination."""
+
+
+def is_finite_number(value) -> bool:
+    """An int or a finite float; a bool is neither, though Python counts it an int."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
 
 
 def _frozen_array(values, dim_name: str) -> np.ndarray:

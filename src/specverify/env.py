@@ -19,7 +19,7 @@ from .core import ActionSpace, ConfigurationError
 GRIPPER_OPEN = 0
 GRIPPER_HOLDING = 1
 
-#: Layout of the observation feature vector produced by render_observation:
+#: Layout of the observation feature vector, one row of render_observations:
 #: [agent_x, agent_y, object_x, object_y,
 #:  object_x - agent_x, object_y - agent_y, gripper_flag]
 #: The goal position is deliberately absent: the planner reads it from the env
@@ -112,10 +112,15 @@ class EnvState(NamedTuple):
     step: int
 
 
+def render_observations(states) -> np.ndarray:
+    """One row per state, each its feature vector (see OBS layout above)."""
+    return np.array([[ax, ay, ox, oy, ox - ax, oy - ay, float(gripper)]
+                     for (ax, ay), (ox, oy), _, gripper, _ in states])
+
+
 def render_observation(state: EnvState) -> np.ndarray:
-    """Deterministic feature-vector rendering of a state (see OBS layout above)."""
-    (ax, ay), (ox, oy), _, gripper, _ = state
-    return np.array([ax, ay, ox, oy, ox - ax, oy - ay, float(gripper)])
+    """Deterministic feature-vector rendering of one state."""
+    return render_observations((state,))[0]
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
@@ -161,8 +166,8 @@ def expert_action(state: EnvState, geom: Geometry) -> tuple:
 
 def transition(state: EnvState, action, geom: Geometry, noise=None,
                grasp_ok=None, drift=None) -> EnvState:
-    """One control step; without disturbance draws, the nominal dynamics the
-    planner rolls out.
+    """One control step; without disturbance draws, the nominal dynamics that
+    ``NominalRolloutPlanner.plan`` repeats on local floats.
 
     The environment passes its draws: ``noise`` is added to the move,
     ``grasp_ok()`` is called only on a grasp attempt within reach (so the grasp
@@ -217,11 +222,11 @@ class ToyEnv:
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self):
+    def reset(self) -> None:
         """Start an episode from the constructor-supplied state or a freshly
-        sampled one."""
+        sampled one. Observations are rendered from ``state`` where they are
+        read (``render_observations``)."""
         self.state = self.initial_state or self._sample_initial_state()
-        return render_observation(self.state)
 
     def _sample_initial_state(self) -> EnvState:
         lo, rng = 0.2, self._rng_init
@@ -243,7 +248,7 @@ class ToyEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, action) -> np.ndarray:
+    def step(self, action) -> None:
         """Advance one control step, applying configured disturbances."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
@@ -258,7 +263,6 @@ class ToyEnv:
         grasp_ok = self._grasp_succeeds if self._rng_grasp is not None else None
         self.state = transition(self.state, tuple(map(float, action)), self.geom,
                                 noise, grasp_ok, drift)
-        return render_observation(self.state)
 
     def _grasp_succeeds(self) -> bool:
         return self._rng_grasp.random() >= self.config.disturbance.grasp_failure_prob

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .controller import (ControllerMode, EpisodeTrace, LatencyModel,
+from .controller import (RECORD_CHECKS, ControllerMode, EpisodeTrace, LatencyModel,
                          ThresholdConfig, run_episodes)
-from .core import ConfigurationError
+from .core import ConfigurationError, is_finite_number
 from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
 from .planner import make_planner
 from .verifier import (BOUNDARIES, ObservationEncoder, OracleVerifier,
@@ -210,9 +209,8 @@ def _typed(tp, value, where: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{where}: expected a list, got {value!r}")
         return tuple(_typed(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    accepted = (int, float) if tp is float else tp
-    if (isinstance(value, bool) or not isinstance(value, accepted)
-            or tp is float and not math.isfinite(value) or tp is int and value < 0):
+    if (not is_finite_number(value) if tp is float else
+            isinstance(value, bool) or not isinstance(value, tp) or tp is int and value < 0):
         raise ConfigurationError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
     return value
 
@@ -453,10 +451,11 @@ _decode = json.JSONDecoder().decode
 
 def read_traces(path):
     """Traces from a file written by ``write_traces``. Each line is parsed
-    once and counted by record type as it is read; a summary record closes its
-    episode, whose counters are re-checked against those counts. A damaged or
-    empty file, or a record of another type, raises ConfigurationError naming
-    the file (and the line)."""
+    once and counted by record type as it is read; a step or decision record
+    must have the writer's keys and value types (``RECORD_CHECKS``), and a
+    summary record closes its episode, whose counters are re-checked against
+    those counts. A damaged or empty file, or a record of another type, raises
+    ConfigurationError naming the file (and the line)."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -479,6 +478,9 @@ def read_traces(path):
                 continue
             else:
                 raise ConfigurationError(f"unknown record type {kind!r}")
+            if not RECORD_CHECKS[kind](record):
+                raise ConfigurationError(
+                    f"{kind} record lacks the keys or value types its writer takes: {record!r}")
             records.append(record)
         except (ValueError, AttributeError, TypeError) as exc:  # not an object; wrong type
             raise ConfigurationError(f"{path}:{number}: {exc}") from exc

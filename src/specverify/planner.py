@@ -13,20 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError
-from .env import EnvState, Geometry, expert_action, is_success, transition
+from .env import (GRIPPER_HOLDING, GRIPPER_OPEN, EnvState, Geometry, _clip, _excess,
+                  is_success)
 
 #: Minimum context width: the informative prefix below occupies 12 entries.
 _CONTEXT_BASE_WIDTH = 12
 
-#: The expert's action once the task is done (``-0.0`` entries compare equal).
+#: The expert's action once the task is done.
 _STAY = (0.0, 0.0, 0.0)
-
-
-def _same_place(a: EnvState, b: EnvState) -> bool:
-    """Equal positions and gripper, bit for bit: 0.0 and -0.0 differ."""
-    return a.gripper == b.gripper and all(
-        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-        for x, y in zip(a.agent_pos + a.object_pos, b.agent_pos + b.object_pos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,21 +46,51 @@ class NominalRolloutPlanner:
         self._pad = [0.0] * (context_width - _CONTEXT_BASE_WIDTH)
 
     def plan(self, state: EnvState, max_len: int | None = None) -> PlannerOutput:
-        """Produce a chunk of min(K, max_len) expert actions plus the context."""
+        """Produce a chunk of min(K, max_len) expert actions plus the context.
+
+        The rollout is ``expert_action`` then ``transition`` without
+        disturbances, step after step, written out on local floats so that no
+        state tuple is built per step; the tests hold it to those two
+        functions bit for bit.
+        """
         length = self.chunk_size if max_len is None else max(1, min(self.chunk_size, max_len))
+        geom = self.geom
+        # A config may give ints; a chunk holds floats, as the trace writes them.
+        bound, wall = float(geom.step_bound), float(geom.world_size)
+        grasp_radius, success_radius = geom.grasp_radius, geom.success_radius
+        (ax, ay), (ox, oy), goal, gripper, step = state
+        gx, gy = goal
         actions = []
-        rollout = state
-        while len(actions) < length:
-            a = expert_action(rollout, self.geom)
-            actions.append(a)
-            after = transition(rollout, a, self.geom)
-            if a == _STAY and _same_place(after, rollout):
-                # A fixed point: expert_action ignores the step counter, so
-                # every later step repeats this action and this state.
-                actions += [a] * (length - len(actions))
-            rollout = after
-        return PlannerOutput(chunk=tuple(actions),
-                             context=self._context_vector(state, rollout))
+        for _ in range(length):
+            # expert_action
+            if gripper == GRIPPER_HOLDING:
+                tx, ty, radius = gx, gy, success_radius
+            elif gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, success_radius) <= 0.0:
+                # Solved: the expert stays. A stay step only clips the agent
+                # (turning -0.0 into 0.0), and a second clip moves no bit, so
+                # the rest of the chunk stays too.
+                actions += [_STAY] * (length - len(actions))
+                ax, ay = _clip(ax + 0.0, 0.0, wall), _clip(ay + 0.0, 0.0, wall)
+                break
+            else:
+                tx, ty, radius = ox, oy, grasp_radius
+            if _excess(tx - ax, ty - ay, radius) <= 0.0:  # release at the goal, grasp at the object
+                action = (0.0, 0.0, 1.0)
+            else:
+                action = (_clip(tx - ax, -bound, bound), _clip(ty - ay, -bound, bound), 0.0)
+            actions.append(action)
+            # transition without disturbances
+            dx, dy, grasp = action
+            ax, ay = _clip(ax + dx, 0.0, wall), _clip(ay + dy, 0.0, wall)
+            if gripper == GRIPPER_HOLDING:
+                ox, oy = ax, ay
+            if grasp > 0.5:
+                if gripper == GRIPPER_HOLDING:
+                    gripper = GRIPPER_OPEN
+                elif _excess(ax - ox, ay - oy, grasp_radius) <= 0.0:
+                    ox, oy, gripper = ax, ay, GRIPPER_HOLDING
+        end = EnvState((ax, ay), (ox, oy), goal, gripper, step + length)
+        return PlannerOutput(chunk=tuple(actions), context=self._context_vector(state, end))
 
     def _context_vector(self, start: EnvState, end: EnvState) -> np.ndarray:
         agent, obj, goal, gripper, _ = start

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSpace, ConfigurationError
-from .env import EpisodeConfig, ToyEnv, expert_action
+from .env import EpisodeConfig, ToyEnv, expert_action, render_observation
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -214,15 +214,17 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     samples = []
     for ep in range(episodes):
         env = ToyEnv(config, seed=seed + ep)
-        obs = env.reset()
+        env.reset()
         while env.state.step < config.horizon and not env.success():
             out = planner.plan(env.state, max_len=config.horizon - env.state.step)
             for i, action in enumerate(out.chunk):
                 if env.success():
                     break
                 if i >= 1:
-                    samples.append((obs, out.context, np.array(expert_action(env.state, geom))))
-                obs = env.step(action)
+                    state = env.state
+                    samples.append((render_observation(state), out.context,
+                                    np.array(expert_action(state, geom))))
+                env.step(action)
             if boundaries == "first":
                 break
     return samples
@@ -251,15 +253,19 @@ class TrainedVerifier:
 
         Rows are stacked as (n, 1, width), so each layer is n matrix-vector
         products: a row gets the same bits as a one-vector call, whatever the
-        batch size, where one matrix product would round differently.
+        batch size, where one matrix product would round differently. The
+        encoder writes into the leading columns of the fused input, and the
+        context is copied in after them.
         """
         rows = obs.reshape(-1, 1, obs.shape[-1])
-        context = context.reshape(rows.shape[0], 1, -1)
-        visual = (np.zeros((rows.shape[0], 1, self.encoder.width)) if zero_observation
-                  else self.encoder.encode_batch(rows))
-        if zero_context:
-            context = np.zeros_like(context)
-        fused = _fused(self.params, np.concatenate([visual, context], axis=2))
+        n, width = rows.shape[0], self.encoder.width
+        x = np.empty((n, 1, self.params.input_width))  # (visual, context) per row
+        if zero_observation:
+            x[:, :, :width] = 0.0
+        else:
+            self.encoder.encode_batch(rows, out=x[:, :, :width])
+        x[:, :, width:] = 0.0 if zero_context else context.reshape(n, 1, -1)
+        fused = _fused(self.params, x)
         ref = self.space.clamp(fused @ self.params.w_head.T + self.params.b_head)
         return ref.reshape(obs.shape[:-1] + (-1,))
 

@@ -284,7 +284,8 @@ def test_overridden_level_labelled_custom(tmp_path):
 
 @pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field",
                                     "summary_wrong_type", "summary_disagrees",
-                                    "empty_file", "directory_named_jsonl", "not_utf8"))
+                                    "empty_file", "directory_named_jsonl", "not_utf8",
+                                    "latency_nan", "latency_bool"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -306,6 +307,10 @@ def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
         text = ""
     elif damage == "summary_wrong_type":
         text = text.replace('"t_heavy": 1.373', '"t_heavy": "slow"')
+    elif damage == "latency_nan":
+        text = text.replace('"t_ctrl": 0.1', '"t_ctrl": NaN')
+    elif damage == "latency_bool":
+        text = text.replace('"t_ctrl": 0.1', '"t_ctrl": true')
     if damage == "directory_named_jsonl":
         path.unlink()
         path.mkdir()

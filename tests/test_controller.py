@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specverify import controller as controller_module
+from specverify import env as env_module
 from specverify.core import ActionSpace, ConfigurationError, ContractViolation
 from specverify.controller import (ControllerMode, EpisodeTrace, LatencyModel,
-                                   ThresholdConfig, cost_bounds, decide, run_episode,
-                                   run_episodes)
-from specverify.env import (GRIPPER_HOLDING, DisturbanceConfig, EnvState,
+                                   ThresholdConfig, _state_hash, cost_bounds, decide,
+                                   run_episode, run_episodes)
+from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig, EnvState,
                             EpisodeConfig, Geometry, ToyEnv)
+from specverify.harness import run_batch
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import OracleVerifier
 
@@ -38,6 +41,11 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="t_heavy: must be positive"):
             LatencyModel(t_heavy=0.0, t_verify=0.0)
         assert LatencyModel(t_verify=0.0).t_verify == 0.0
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, True, "0.1", None))
+    def test_latency_must_be_a_finite_number(self, value):
+        with pytest.raises(ConfigurationError, match="t_ctrl: expected a finite float"):
+            LatencyModel(t_ctrl=value)
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
@@ -308,3 +316,83 @@ def test_record_lines_are_json_dumps(records):
                          records=records)
     lines = trace.to_jsonl().splitlines(keepends=True)
     assert lines[:-1] == [json.dumps(r, sort_keys=True) + "\n" for r in records]
+
+
+def test_step_hashes_match_states_hashed_from_scratch(monkeypatch):
+    """The episode's hash memo reuses the object's text only while the state
+    holds the same object: every step record's hash is ``_state_hash`` of the
+    pre-step state computed afresh, through free drifts, held slips, grasps
+    and releases, and from a start state given as lists."""
+    steps = {}
+    step = ToyEnv.step
+
+    def recording_step(env, action):
+        before = env.state
+        step(env, action)
+        steps.setdefault(env, []).append((before, action[2], env.state))
+
+    monkeypatch.setattr(ToyEnv, "step", recording_step)
+    cfg = EpisodeConfig(disturbance=DisturbanceConfig(
+        object_drift_prob=0.9, object_drift_magnitude=0.12, grasp_failure_prob=0.5))
+    envs = [ToyEnv(cfg, seed) for seed in range(20)]
+    envs.append(ToyEnv(cfg, 20, initial_state=EnvState(  # held at the goal: a release
+        agent_pos=[1.2, 0.7], object_pos=[1.2, 0.7], goal_pos=[1.25, 0.7],
+        gripper=GRIPPER_HOLDING, step=0)))
+    traces = run_episodes(envs, NominalRolloutPlanner(cfg.geometry, chunk_size=8),
+                          OracleVerifier(cfg.geometry), ControllerMode.SV,
+                          ThresholdConfig(), LatencyModel())
+    seen = set()
+    for env, trace in zip(envs, traces):
+        goal = repr(list(env.state.goal_pos))
+        hashes = [r["state_hash"] for r in trace.records if r["type"] == "step"]
+        assert hashes == [_state_hash(before, goal) for before, _, _ in steps[env]]
+        for before, grasp, after in steps[env]:
+            if before.gripper == GRIPPER_HOLDING and after.gripper == GRIPPER_OPEN:
+                seen.add("release" if grasp > 0.5 else "held slip")
+            elif before.gripper == GRIPPER_OPEN and after.gripper == GRIPPER_HOLDING:
+                seen.add("grasp")
+            elif before.gripper == GRIPPER_OPEN and after.object_pos != before.object_pos:
+                seen.add("free drift")
+    assert seen == {"release", "held slip", "grasp", "free drift"}
+
+
+class CountingVerifier:
+    """Passes each call on to ``inner``, counting calls and the rows handed over."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.rows = inner, 0, 0
+
+    def reference(self, obs, context, **kwargs):
+        self.calls += 1
+        self.rows += obs.shape[0]
+        return self.inner.reference(obs, context, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ("sv", "verifier-only"))
+def test_work_per_step_and_per_tick(monkeypatch, moderate_config, trained_verifier, mode):
+    """Per executed step the env steps once; per control tick the live rows'
+    observations are rendered once, as one array, and handed to one verifier
+    call. The env renders none, and the planner runs once per heavy call."""
+    counts = dict.fromkeys(("step", "plan", "render", "env render"), 0)
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ToyEnv, "step", "step")
+    count(NominalRolloutPlanner, "plan", "plan")
+    count(controller_module, "render_observations", "render")
+    count(env_module, "render_observations", "env render")
+    verifier = CountingVerifier(trained_verifier)
+    traces = run_batch(moderate_config, mode=mode, episodes=20, verifier=verifier)
+    verifier_calls = sum(t.verifier_calls for t in traces)
+    assert verifier_calls > verifier.calls > 0
+    assert counts == {"step": sum(t.executed_steps for t in traces),
+                      "plan": sum(t.heavy_calls for t in traces),
+                      "render": verifier.calls, "env render": 0}
+    assert verifier.rows == verifier_calls

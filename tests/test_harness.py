@@ -38,6 +38,8 @@ MALFORMED_CONFIGS = [
     ({"verifier": {"training": {"boundaries": "bogus"}}}, "verifier.training.boundaries"),
     ({"verifier": {"training": {"disturbance_level": "bogus"}}},
      "verifier.training.disturbance_level"),
+    ({"controller": {"latency": {"t_ctrl": float("nan")}}}, "controller.latency.t_ctrl"),
+    ({"controller": {"latency": {"t_verify": True}}}, "controller.latency.t_verify"),
 ]
 
 
@@ -367,6 +369,30 @@ class TestTraceFiles:
         path.write_text("".join(lines[:2] + [record + "\n"] + lines[2:]))
         with pytest.raises(ConfigurationError,
                            match=rf"{re.escape(str(path))}:3: unknown record type"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("kind,damage", [
+        ("step", lambda r: r.pop("action")),
+        ("step", lambda r: r.update(extra=0)),
+        ("step", lambda r: r.update(actoin=r.pop("action"))),
+        ("decision", lambda r: r.update(score=True)),
+        ("step", lambda r: r.update(step=str(r["step"]))),
+        ("step", lambda r: r.update(action=r["action"][:2])),
+        ("step", lambda r: r.update(state_hash='0"1')),  # written back unescaped
+        ("decision", lambda r: r.update(accept=1)),
+    ], ids=("dropped_key", "extra_key", "renamed_key", "bool_score", "string_step", "two_item_action",
+            "quote_in_hash", "int_accept"))
+    def test_rejects_records_the_writer_cannot_write_back(self, trace_file, kind, damage):
+        """A step or decision record needs the writer's keys and value types;
+        without them, it would fail or change when it is written back."""
+        path, lines = trace_file
+        at = next(i for i, line in enumerate(lines) if f'"type": "{kind}"' in line)
+        record = json.loads(lines[at])
+        damage(record)
+        lines[at] = json.dumps(record, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{at + 1}: {kind} record"):
             read_traces(path)
 
     def test_latencies_written_back_as_read(self, tmp_path):

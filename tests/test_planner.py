@@ -4,7 +4,7 @@ import pytest
 
 from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
-                            ToyEnv, transition)
+                            ToyEnv, _excess, transition)
 from specverify import planner as planner_module
 from specverify.planner import NominalRolloutPlanner, make_planner
 
@@ -87,16 +87,28 @@ class TestPlanning:
         assert out.chunk == ((0.25, 0.0, 0.0), (0.25, 0.0, 0.0),
                              (0.25, 0.0, 0.0), (0.0, 0.0, 1.0))
 
+    def test_int_geometry_plans_floats(self):
+        """A config may give an int bound or world size; the chunk still holds
+        floats, which the trace writes as floats."""
+        planner = NominalRolloutPlanner(Geometry(world_size=2, step_bound=1), chunk_size=8)
+        state = EnvState(agent_pos=(0.2, 0.2), object_pos=(1.9, 0.2),
+                         goal_pos=(0.2, 1.9), gripper=0, step=0)
+        out = planner.plan(state)
+        assert out.chunk[0] == (1.0, 0.0, 0.0)
+        assert all(type(v) is float for a in out.chunk for v in a)
+
     @pytest.mark.parametrize("agent_x", (0.5, -0.0))
     def test_solved_state_stops_rolling_out(self, geometry, monkeypatch, agent_x):
-        """From a solved state the rollout reaches a fixed point and pads the
-        chunk with its stay action: one nominal step, or two from ``-0.0``,
-        which the first step turns into ``0.0``."""
+        """From a solved state the rollout pads the chunk with its stay
+        action after one step, from ``-0.0`` too (the step turns it into
+        ``0.0``, which a second step keeps). Each rolled-out step tests the
+        success radius once, so rolling out the whole chunk would make 16
+        radius tests."""
         calls = []
-        monkeypatch.setattr(planner_module, "transition",
-                            lambda *args: calls.append(args) or transition(*args))
+        monkeypatch.setattr(planner_module, "_excess",
+                            lambda *args: calls.append(args) or _excess(*args))
         state = EnvState(agent_pos=(agent_x, 1.0), object_pos=(1.5, 1.5),
                          goal_pos=(1.5, 1.5), gripper=0, step=0)
         out = NominalRolloutPlanner(geometry, chunk_size=16).plan(state)
-        assert len(calls) == (1 if agent_x == 0.5 else 2)
+        assert len(calls) == 1
         assert out.chunk == ((0.0, 0.0, 0.0),) * 16

@@ -5,8 +5,11 @@ The env and the nominal planner run on Python floats. These properties hold
 the float64-array formulas written out below, on states that include the
 walls, the grasp and success radii within one ulp, held objects and any step
 counter. The reference planner decodes the rendered observation, so ``plan``
-from the env state is checked to lose nothing against it. The trace's state
-hash, which formats the floats itself, is held to the repr of the state's lists.
+from the env state is checked to lose nothing against it. ``plan`` writes the
+expert and the step out on local floats; it is also held to the loop of
+``expert_action`` and ``transition`` calls it replaced, fixed-point padding
+included. The trace's state hash, which formats the floats itself, is held to
+the repr of the state's lists.
 The env draws through ``Generator.random``; it is held state for state to the
 ``uniform()`` draws it replaced, the initial-state sampler included.
 """
@@ -88,6 +91,30 @@ def np_plan(obs, goal, chunk_size, context_width):
     context = np.zeros(context_width)
     context[:base.size] = base
     return np.array(actions), context
+
+
+def _same_place(a: EnvState, b: EnvState) -> bool:
+    """Equal positions and gripper, bit for bit: 0.0 and -0.0 differ."""
+    return a.gripper == b.gripper and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a.agent_pos + a.object_pos, b.agent_pos + b.object_pos))
+
+
+def loop_plan(planner: NominalRolloutPlanner, state: EnvState, max_len=None):
+    """``plan`` as a loop of ``expert_action`` and ``transition`` calls: at a
+    fixed point (the expert stays and the state moves no bit) the chunk is
+    padded with the stay action. Returns the chunk and the context."""
+    length = (planner.chunk_size if max_len is None
+              else max(1, min(planner.chunk_size, max_len)))
+    actions, rollout = [], state
+    while len(actions) < length:
+        a = expert_action(rollout, planner.geom)
+        actions.append(a)
+        after = transition(rollout, a, planner.geom)
+        if a == (0.0, 0.0, 0.0) and _same_place(after, rollout):
+            actions += [a] * (length - len(actions))
+        rollout = after
+    return tuple(actions), planner._context_vector(state, rollout)
 
 
 # -- states ------------------------------------------------------------------
@@ -194,6 +221,31 @@ class TestMatchesArrayFormulas:
         assert np.array(out.chunk).shape == chunk.shape
         assert np.array(out.chunk).tobytes() == chunk.tobytes()
         assert out.context.tobytes() == context.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(env_states(), st.sampled_from([1, 4, 16]), st.sampled_from([None, 1, 2, 5, 16, 39]))
+# solved with the agent at x -0.0, which the first stay step turns into 0.0
+@example(EnvState(agent_pos=(-0.0, 1.0), object_pos=(1.5, 1.5), goal_pos=(1.5, 1.5),
+                  gripper=GRIPPER_OPEN, step=0), 16, None)
+# holding, at the success radius exactly: numpy's norm decides the release
+@example(EnvState(agent_pos=(0.1, 0.0), object_pos=(0.1, 0.0), goal_pos=(0.0, 0.0),
+                  gripper=GRIPPER_HOLDING, step=0), 16, None)
+# one ulp inside the grasp radius (a grasp), and one ulp outside (a move first)
+@example(EnvState(agent_pos=(0.0, 0.5), object_pos=(math.nextafter(0.08, 0.0), 0.5),
+                  goal_pos=(1.5, 1.5), gripper=GRIPPER_OPEN, step=3), 4, None)
+@example(EnvState(agent_pos=(0.0, 0.5), object_pos=(math.nextafter(0.08, 1.0), 0.5),
+                  goal_pos=(1.5, 1.5), gripper=GRIPPER_OPEN, step=3), 4, 2)
+def test_plan_matches_the_step_loop(state, chunk_size, max_len):
+    """The float rollout makes the chunk and the context of the
+    ``expert_action``/``transition`` loop, bit for bit and as floats."""
+    planner = NominalRolloutPlanner(GEOM, chunk_size)
+    out = planner.plan(state, max_len)
+    chunk, context = loop_plan(planner, state, max_len)
+    assert all(type(a) is tuple and all(type(v) is float for v in a) for a in out.chunk)
+    assert len(out.chunk) == len(chunk)
+    assert bits(out.chunk) == bits(chunk)
+    assert out.context.tobytes() == context.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
