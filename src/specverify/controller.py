@@ -91,8 +91,8 @@ def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace, tau: 
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
     score = deviation_score(planned, reference, space)
     if planned.ndim == 1:
-        return Decision(accept=score <= tau, score=score)
-    return [Decision(accept=s <= tau, score=s) for s in score]
+        return Decision(score <= tau, score)
+    return [Decision(s <= tau, s) for s in score]
 
 
 #: EpisodeTrace fields, and LatencyModel fields, written to the summary line.
@@ -133,6 +133,17 @@ _RECORD_LINE = {"step": _step_line, "decision": _decision_line}
 
 #: json's numbers; a bool is neither, though Python counts it an int.
 _NUMBER = frozenset((int, float))
+
+#: Summary fields by what the engine writes in them. The mode and tau, and the
+#: latencies, are checked on their own.
+_SUMMARY_TYPES = (
+    (("seed", "heavy_calls", "verifier_calls", "executed_steps", "replans"), "an int >= 0",
+     lambda v: type(v) is int and v >= 0),
+    (("chunk_size",), "an int >= 1", lambda v: type(v) is int and v >= 1),
+    (("guard_hit", "success"), "a bool", lambda v: type(v) is bool),
+    (("steps_before_replan", "completed_chunk_lengths"), "a list of ints >= 1",
+     lambda v: type(v) is list and all(type(x) is int and x >= 1 for x in v)),
+)
 
 
 def _step_writable(r: dict) -> bool:
@@ -193,9 +204,11 @@ class EpisodeTrace:
     def from_summary(cls, summary: dict, records: list, steps: int, decisions: int,
                      latencies: dict) -> "EpisodeTrace":
         """Rebuild a trace from its summary record and the ``records`` before
-        it, of which ``steps`` are step and ``decisions`` decision records. The
-        summary's step count, verifier calls (sv modes) and simulated time are
-        checked against them and against the accounting identity.
+        it, of which ``steps`` are step and ``decisions`` decision records. Each
+        summary field must hold what the engine writes there (``_SUMMARY_TYPES``;
+        tau in (0, 1) in the sv modes, null in the others). The summary's step
+        count, verifier calls (sv modes) and simulated time are checked against
+        the records and against the accounting identity.
 
         ``latencies`` holds one LatencyModel per distinct latency triple for
         the traces read together. Its key is the triple's reprs, so 1 and 1.0,
@@ -204,6 +217,16 @@ class EpisodeTrace:
         missing = [k for k in _SUMMARY_FIELDS + _LATENCY_FIELDS if k not in summary]
         if missing:
             raise ConfigurationError(f"summary record lacks {missing}")
+        for names, expected, holds in _SUMMARY_TYPES:
+            for name in names:
+                if not holds(summary[name]):
+                    raise ConfigurationError(
+                        f"summary {name}: expected {expected}, got {summary[name]!r}")
+        mode, tau = ControllerMode(summary["mode"]), summary["tau"]
+        if not (type(tau) is float and 0.0 < tau < 1.0 if mode.is_sv else tau is None):
+            expected = "a float in (0, 1)" if mode.is_sv else "null"
+            raise ConfigurationError(f"summary tau: expected {expected} in mode {mode.value}, "
+                                     f"got {tau!r}")
         key = tuple(repr(summary[k]) for k in _LATENCY_FIELDS)
         latency = latencies.get(key)
         if latency is None:
@@ -211,7 +234,7 @@ class EpisodeTrace:
         trace = cls(latency=latency, records=records,
                     **{k: summary[k] for k in _SUMMARY_FIELDS})
         checks = {"executed_steps": steps}
-        if ControllerMode(trace.mode).is_sv:
+        if mode.is_sv:
             checks["verifier_calls"] = decisions
         checks["simulated_inference_time"] = trace.simulated_inference_time
         for name, expected in checks.items():
@@ -357,7 +380,7 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
     space = envs[0].geom.action_space() if envs else None
     while live:
         context, states, planned = zip(*(request for _, request in live))
-        refs = verifier.reference(render_observations(states), np.stack(context),
+        refs = verifier.reference(render_observations(states), np.array(context),
                                   true_state=states, zero_context=zero_ctx,
                                   zero_observation=zero_obs)
         answers = (refs.tolist() if mode is ControllerMode.VERIFIER_ONLY

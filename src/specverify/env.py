@@ -8,8 +8,10 @@ stream so that toggling one source never shifts the draws of another.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -114,8 +116,10 @@ class EnvState(NamedTuple):
 
 def render_observations(states) -> np.ndarray:
     """One row per state, each its feature vector (see OBS layout above)."""
-    return np.array([[ax, ay, ox, oy, ox - ax, oy - ay, float(gripper)]
-                     for (ax, ay), (ox, oy), _, gripper, _ in states])
+    flat = []
+    for (ax, ay), (ox, oy), _, gripper, _ in states:
+        flat += (ax, ay, ox, oy, ox - ax, oy - ay, float(gripper))
+    return np.array(flat).reshape(-1, OBS_DIM)
 
 
 def render_observation(state: EnvState) -> np.ndarray:
@@ -195,30 +199,118 @@ def transition(state: EnvState, action, geom: Geometry, noise=None,
     return EnvState(agent, obj, goal, gripper, step + 1)
 
 
+# -- random streams -----------------------------------------------------------
+
+#: numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_BLOCK = 32  # values a stream draws per numpy call
+
+
+def _stream_words(seeds, keys) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)``
+    of each seed in [0, 2**32) and key, as an array (seeds, keys, 4): numpy's
+    mixing of the entropy [seed, 0, 0, 0, key], on wrapping uint32 arrays."""
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return x ^ x >> 16
+
+    pool = [hashmix(np.array(seeds, np.uint32)[:, None])]
+    pool += [hashmix(np.zeros(1, np.uint32)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = [mix(word, hashmix(np.array(keys, np.uint32))) for word in pool]
+    const = _INIT_B
+    words = [hashmix(pool[i % 4], _MULT_B) for i in range(8)]
+    return np.stack(words, axis=-1).view(np.uint64)  # little-endian, as numpy's view
+
+
+@functools.cache
+def _words_seed():
+    """An ``ISeedSequence`` handing ``PCG64`` its words, defined at first use:
+    importing the package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return WordsSeed
+
+
+def _generators(dist: DisturbanceConfig, seeds) -> list:
+    """Per seed, its streams (init, actuation, drift, grasp): stream i is
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, None for a disabled
+    source. Int seeds in [0, 2**32) are seeded by one ``_stream_words`` pass,
+    any other by SeedSequence."""
+    used = (True, dist.actuation_noise_sigma > 0, dist.object_drift_prob > 0,
+            dist.grasp_failure_prob > 0)
+    keys = [i for i, on in enumerate(used) if on]
+    fast = [type(seed) is int and 0 <= seed < 2**32 for seed in seeds]
+    words = iter(_stream_words([seed for seed, f in zip(seeds, fast) if f], keys))
+    make, out = _words_seed(), []
+    for seed, f in zip(seeds, fast):
+        seqs = (map(make, next(words)) if f
+                else (np.random.SeedSequence(seed, spawn_key=(i,)) for i in keys))
+        rngs = map(np.random.Generator, map(np.random.PCG64, seqs))  # as default_rng
+        out.append(tuple(next(rngs) if on else None for on in used))
+    return out
+
+
+def _blocks(draw):
+    """The values of ``draw(_BLOCK)`` one at a time, a block drawn as the last
+    runs out: numpy fills a block draw by draw, so these are one ``draw()``'s
+    per value, in order."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BLOCK))))
+
+
 class ToyEnv:
     """Single-owner mutable environment; distinct instances are independent.
 
     The episode seed is split into four named sub-streams (initial state,
     actuation noise, object drift, grasp failure) so disturbance sources draw
-    independently. A disabled source gets no generator. Uniform draws take
-    ``random()`` and scale it: numpy's ``uniform(low, high)`` is
-    ``low + (high - low) * random()``, from the same stream position.
+    independently; a disabled source gets no generator, and each stream is
+    read through ``_blocks``. Uniform draws take ``random()`` and scale it:
+    numpy's ``uniform(low, high)`` is ``low + (high - low) * random()``.
     """
 
     def __init__(self, config: EpisodeConfig, seed: int,
-                 initial_state: EnvState | None = None):
+                 initial_state: EnvState | None = None, *, generators: tuple | None = None):
         self.config = config
         self.geom = config.geometry
         self.seed = seed
         self.initial_state = initial_state
         dist = config.disturbance
-        # Stream i is child i of SeedSequence(seed).spawn(4), made only if in use.
-        used = (True, dist.actuation_noise_sigma > 0, dist.object_drift_prob > 0,
-                dist.grasp_failure_prob > 0)
-        self._rng_init, self._rng_actuation, self._rng_drift, self._rng_grasp = (
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) if on else None
-            for i, on in enumerate(used))
+        init, actuation, drift, grasp = generators or _generators(dist, [seed])[0]
+        self._init = _blocks(init.random)
+        self._noise = actuation and _blocks(
+            functools.partial(actuation.normal, 0.0, dist.actuation_noise_sigma))
+        self._drift = drift and _blocks(drift.random)
+        self._grasp = grasp = grasp and _blocks(grasp.random)
+        p = dist.grasp_failure_prob
+        self._grasp_ok = grasp and (lambda: next(grasp) >= p)
         self.state: EnvState | None = None
+        self._success = False
+
+    @classmethod
+    def batch(cls, config: EpisodeConfig, seeds) -> list:
+        """One env per seed, drawing as ``ToyEnv(config, seed)`` does."""
+        seeds = list(seeds)
+        return [cls(config, seed, generators=generators) for seed, generators
+                in zip(seeds, _generators(config.disturbance, seeds))]
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -227,14 +319,14 @@ class ToyEnv:
         sampled one. Observations are rendered from ``state`` where they are
         read (``render_observations``)."""
         self.state = self.initial_state or self._sample_initial_state()
+        self._success = is_success(self.state, self.geom)
 
     def _sample_initial_state(self) -> EnvState:
-        lo, rng = 0.2, self._rng_init
+        lo, draws = 0.2, self._init
         span = (self.geom.world_size - lo) - lo  # uniform(lo, hi)'s hi - lo
 
         def point():
-            x, y = rng.random(2).tolist()
-            return (lo + span * x, lo + span * y)
+            return (lo + span * next(draws), lo + span * next(draws))
 
         # Rejection-sample object and goal so the phases are non-degenerate;
         # each loop draws at least once, as a point is 0 away from itself.
@@ -252,20 +344,18 @@ class ToyEnv:
         """Advance one control step, applying configured disturbances."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
+        dx, dy, grasp = action
         dist = self.config.disturbance
         noise = drift = None
-        if self._rng_actuation is not None:
-            noise = self._rng_actuation.normal(0.0, dist.actuation_noise_sigma, size=2).tolist()
-        if self._rng_drift is not None and self._rng_drift.random() < dist.object_drift_prob:
-            angle = 0.0 + 2.0 * math.pi * self._rng_drift.random()
+        if self._noise is not None:
+            noise = (next(self._noise), next(self._noise))
+        if self._drift is not None and next(self._drift) < dist.object_drift_prob:
+            angle = 0.0 + 2.0 * math.pi * next(self._drift)
             m = dist.object_drift_magnitude
             drift = (m * math.cos(angle), m * math.sin(angle))
-        grasp_ok = self._grasp_succeeds if self._rng_grasp is not None else None
-        self.state = transition(self.state, tuple(map(float, action)), self.geom,
-                                noise, grasp_ok, drift)
-
-    def _grasp_succeeds(self) -> bool:
-        return self._rng_grasp.random() >= self.config.disturbance.grasp_failure_prob
+        self.state = transition(self.state, (float(dx), float(dy), float(grasp)), self.geom,
+                                noise, self._grasp_ok, drift)
+        self._success = is_success(self.state, self.geom)
 
     def success(self) -> bool:
-        return self.state is not None and is_success(self.state, self.geom)
+        return self._success

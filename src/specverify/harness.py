@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
+from json.scanner import make_scanner
 from typing import get_args, get_origin, get_type_hints
 
 import yaml
@@ -368,7 +369,7 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
     threshold = ThresholdConfig(tau=cfg.controller.tau if tau is None else tau,
                                 max_replans=cfg.controller.max_replans)
     n = episodes if episodes is not None else cfg.batch.episodes
-    envs = [ToyEnv(episode_cfg, seed=cfg.batch.base_seed + i) for i in range(n)]
+    envs = ToyEnv.batch(episode_cfg, range(cfg.batch.base_seed, cfg.batch.base_seed + n))
     return run_episodes(envs, planner, verifier, mode, threshold, cfg.controller.latency)
 
 
@@ -445,27 +446,39 @@ def write_traces(path, traces) -> None:
             fh.write(tr.to_jsonl())
 
 
-#: ``json.loads`` of a text line, without its per-call argument handling.
-_decode = json.JSONDecoder().decode
+#: ``json.loads`` of a text line, without its per-call argument handling, and
+#: json's C scanner, which parses the one value at an offset of a text.
+_decoder = json.JSONDecoder()
+_decode, _scan = _decoder.decode, make_scanner(_decoder)
 
 
 def read_traces(path):
     """Traces from a file written by ``write_traces``. Each line is parsed
-    once and counted by record type as it is read; a step or decision record
-    must have the writer's keys and value types (``RECORD_CHECKS``), and a
-    summary record closes its episode, whose counters are re-checked against
-    those counts. A damaged or empty file, or a record of another type, raises
-    ConfigurationError naming the file (and the line)."""
+    once: in place in the file's text when its value ends at the line's
+    newline, as the writer writes it, else by ``_decode`` of the line alone,
+    which accepts and rejects what ``json.loads`` does. Records are counted by
+    type as they are read; a step or decision record must have the writer's
+    keys and value types (``RECORD_CHECKS``), and a summary record closes its
+    episode, whose counters are re-checked against those counts. A damaged or
+    empty file, or a record of another type, raises ConfigurationError naming
+    the file (and the line)."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not text
         raise ConfigurationError(f"{path}: cannot read: {getattr(exc, 'strerror', exc)}") from exc
+    text = "".join(lines)
     traces, records, latencies = [], [], {}
-    steps = decisions = 0
+    steps = decisions = end = 0
     for number, line in enumerate(lines, 1):
+        start, end = end, end + len(line)
         try:
-            record = _decode(line)
+            try:
+                record, stop = _scan(text, start)
+            except (StopIteration, ValueError):  # no value at the line's start
+                stop = None
+            if stop != end - line.endswith("\n"):  # not one value that fills the line
+                record = _decode(line)
             kind = record.get("type")
             if kind == "step":
                 steps += 1

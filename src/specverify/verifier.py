@@ -212,8 +212,7 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
         raise ConfigurationError(f"boundaries must be 'all' or 'first', got {boundaries!r}")
     geom = config.geometry
     samples = []
-    for ep in range(episodes):
-        env = ToyEnv(config, seed=seed + ep)
+    for env in ToyEnv.batch(config, range(seed, seed + episodes)):
         env.reset()
         while env.state.step < config.horizon and not env.success():
             out = planner.plan(env.state, max_len=config.horizon - env.state.step)

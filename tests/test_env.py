@@ -3,12 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from specverify import env as env_module
 from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, OBS_DIM,
                             DisturbanceConfig, EnvState, EpisodeConfig,
-                            Geometry, ToyEnv, expert_action, is_success,
-                            render_observation, transition)
+                            Geometry, ToyEnv, _generators, _stream_words,
+                            expert_action, is_success, render_observation,
+                            transition)
 
 
 def make_state(agent, obj, goal, gripper=GRIPPER_OPEN, step=0):
@@ -230,15 +234,16 @@ class TestSeededStreams:
             object_drift_prob=0.15 if drift else 0.0, object_drift_magnitude=0.12,
             grasp_failure_prob=0.2 if grasp else 0.0))
         env = ToyEnv(cfg, seed=41)
-        streams = (env._rng_init, env._rng_actuation, env._rng_drift, env._rng_grasp)
+        streams = (env._init, env._noise, env._drift, env._grasp)
         children = np.random.SeedSequence(41).spawn(4)
-        for on, rng, child in zip((True, noise, drift, grasp), streams, children):
+        for i, (on, values, child) in enumerate(zip((True, noise, drift, grasp), streams,
+                                                    children)):
             if not on:
-                assert rng is None
+                assert values is None
                 continue
             want = np.random.default_rng(child)
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert rng.uniform(size=8).tobytes() == want.uniform(size=8).tobytes()
+            want = want.normal(0.0, 0.02, 200) if i == 1 else want.random(200)
+            assert [next(values) for _ in range(200)] == want.tolist()  # past one block
 
     def test_drift_dislodges_held_object(self):
         cfg = EpisodeConfig(disturbance=DisturbanceConfig(
@@ -258,3 +263,62 @@ class TestSeededStreams:
             assert np.linalg.norm(np.subtract(s.object_pos, s.agent_pos)) >= 0.6
             assert np.linalg.norm(np.subtract(s.goal_pos, s.object_pos)) >= 0.7
             assert s.gripper == GRIPPER_OPEN
+
+
+class TestBatchSeeding:
+    """``ToyEnv.batch`` seeds its envs' streams in one pass over the seeds
+    below 2**32; each stream must be the generator an env alone makes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    @example([0, 1, 2**31, 2**32 - 1])
+    def test_words_and_states_match_seed_sequence(self, seeds):
+        words = _stream_words(seeds, [0, 1, 2, 3])
+        assert words.shape == (len(seeds), 4, 4) and words.dtype == np.uint64
+        generators = _generators(DisturbanceConfig.moderate(), seeds)
+        for seed, row, streams in zip(seeds, words, generators):
+            for i, (got, rng) in enumerate(zip(row, streams)):
+                want = np.random.SeedSequence(seed, spawn_key=(i,))
+                assert got.tolist() == want.generate_state(4, np.uint64).tolist()
+                assert rng.bit_generator.state == np.random.default_rng(want).bit_generator.state
+
+    def test_seeds_from_two_words_up_take_the_fallback(self, monkeypatch):
+        passed = []
+
+        def recording(seeds, keys):
+            passed.append(list(seeds))
+            return _stream_words(seeds, keys)
+
+        monkeypatch.setattr(env_module, "_stream_words", recording)
+        seeds = [2**32, 7, 2**40 + 3, 2**32 - 1]
+        generators = _generators(DisturbanceConfig.moderate(), seeds)
+        assert passed == [[7, 2**32 - 1]]
+        for seed, streams in zip(seeds, generators):
+            for i, rng in enumerate(streams):
+                want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("dist", [
+        DisturbanceConfig(), DisturbanceConfig.moderate(),
+        DisturbanceConfig(object_drift_prob=0.9, object_drift_magnitude=0.12,
+                          grasp_failure_prob=0.7)], ids=("off", "moderate", "no_noise"))
+    def test_batch_envs_draw_as_envs_alone(self, dist):
+        """Under an action script with a grasp every third step, an env of a
+        batch goes through the states of the env alone, and its streams end
+        at the same positions."""
+        cfg = EpisodeConfig(disturbance=dist)
+        seeds = [0, 1, 5, 2**31, 2**32 - 1, 2**32, 2**33 + 9]
+        for seed, env in zip(seeds, ToyEnv.batch(cfg, seeds)):
+            alone = ToyEnv(cfg, seed)
+            env.reset()
+            alone.reset()
+            for t in range(40):
+                assert repr(env.state) == repr(alone.state)
+                assert env.success() == alone.success()
+                action = expert_action(env.state, env.geom)
+                env.step(action[:2] + (1.0 if t % 3 == 2 else action[2],))
+                alone.step(action[:2] + (1.0 if t % 3 == 2 else action[2],))
+            for got, want in zip((env._init, env._noise, env._drift, env._grasp),
+                                 (alone._init, alone._noise, alone._drift, alone._grasp)):
+                assert (got is None) == (want is None)
+                assert got is None or next(got) == next(want)

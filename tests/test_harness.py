@@ -344,6 +344,55 @@ class TestTraceFiles:
                            match=rf"{re.escape(str(path))}:{end + 1}: summary {field} is"):
             read_traces(path)
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("seed", -5, "seed"), ("seed", 5.5, "seed"), ("seed", True, "seed"),
+        ("mode", "open-loop", "tau"),  # an sv trace's tau, in a mode that has none
+        ("chunk_size", 0, "chunk_size"), ("chunk_size", "16", "chunk_size"),
+        ("tau", 1.5, "tau"), ("tau", "x", "tau"), ("tau", None, "tau"),
+        ("heavy_calls", float, "heavy_calls"), ("verifier_calls", float, "verifier_calls"),
+        ("executed_steps", float, "executed_steps"), ("replans", -1, "replans"),
+        ("replans", True, "replans"), ("guard_hit", 0, "guard_hit"), ("success", 3, "success"),
+        ("steps_before_replan", [0], "steps_before_replan"),
+        ("completed_chunk_lengths", [True], "completed_chunk_lengths"),
+        ("completed_chunk_lengths", "16", "completed_chunk_lengths"),
+    ], ids=("seed_negative", "seed_float", "seed_bool", "mode_without_tau", "chunk_size_zero",
+            "chunk_size_string", "tau_above_one", "tau_string", "tau_null_in_sv",
+            "heavy_calls_float", "verifier_calls_float", "executed_steps_float",
+            "replans_negative", "replans_bool", "guard_hit_int", "success_int",
+            "steps_before_replan_zero", "chunk_lengths_bool", "chunk_lengths_string"))
+    def test_rejects_summary_values_the_engine_never_writes(self, trace_file, field, value,
+                                                             named):
+        """Each summary field must hold what the engine writes there: a
+        summary with ``"success": 3`` would give a success rate of 3. A float
+        counter equal to the count passes the accounting checks, so it is the
+        type check that rejects it."""
+        path, lines = trace_file
+        end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+        summary = json.loads(lines[end])
+        summary[field] = value(summary[field]) if callable(value) else value
+        lines[end] = json.dumps(summary, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{end + 1}: summary {named}: expected"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("damage", ("record_over_two_lines", "two_records_on_a_line"))
+    def test_rejects_records_not_one_per_line(self, trace_file, damage):
+        """The in-place parse takes a value only where it fills its line;
+        otherwise the line alone is decoded, with json's own message."""
+        path, lines = trace_file
+        if damage == "record_over_two_lines":
+            lines[1:2] = lines[1].split(", ", 1)
+            lines[1] += ",\n"
+        else:
+            lines[1:3] = [lines[1][:-1] + " " + lines[2]]
+        path.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(lines[1])
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:2: {re.escape(str(want.value))}$"):
+            read_traces(path)
+
     @pytest.mark.parametrize("line", [
         '\ufeff{"type": "step", "step": 0}',  # BOM
         '{"type": "step", "step": 0} {}',  # trailing data

@@ -1,9 +1,13 @@
-"""Import hygiene: every module-level import in the package and the tests is used.
+"""Import hygiene: every module-level import in the package and the tests is
+used, and importing the CLI loads no more of numpy than it needs.
 
 No linter ships with the toolchain, so this AST scan stands in for one. The
 package's ``__init__.py`` is exempt: its imports are the public re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,11 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    """numpy.random costs milliseconds to import; a CLI call pays it only
+    when it first seeds a stream, never at import."""
+    code = "import sys, specverify.cli; sys.exit('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

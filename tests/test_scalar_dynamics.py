@@ -10,8 +10,9 @@ expert and the step out on local floats; it is also held to the loop of
 ``expert_action`` and ``transition`` calls it replaced, fixed-point padding
 included. The trace's state hash, which formats the floats itself, is held to
 the repr of the state's lists.
-The env draws through ``Generator.random``; it is held state for state to the
-``uniform()`` draws it replaced, the initial-state sampler included.
+The env draws through ``Generator.random``, in blocks; it is held state for
+state to the one-at-a-time ``uniform()`` draws it replaced, the initial-state
+sampler included.
 """
 import hashlib
 import itertools
@@ -342,10 +343,10 @@ class UniformEnv:
 
 @pytest.mark.parametrize("noise,drift,grasp", itertools.product((False, True), repeat=3))
 def test_env_draws_match_uniform(noise, drift, grasp):
-    """``random()`` in place of ``uniform()`` moves no state: under an action
-    script (the expert's action, with a grasp every third step) the env
-    matches the old draws state for state, and each stream ends where the old
-    one does."""
+    """``random()`` in place of ``uniform()``, and draws in blocks, move no
+    state: under an action script (the expert's action, with a grasp every
+    third step) the env matches the old draws state for state, and each
+    stream has taken as many values as the old one drew."""
     dist = DisturbanceConfig(actuation_noise_sigma=0.3 if noise else 0.0,
                              object_drift_prob=0.9 if drift else 0.0,
                              object_drift_magnitude=0.12,
@@ -362,10 +363,14 @@ def test_env_draws_match_uniform(noise, drift, grasp):
             env.step(np.array(action))
             old.step(action)
             assert same_state(env.state, old.arrays) and env.state.step == t + 1
-        for got, want in zip((env._rng_actuation, env._rng_drift, env._rng_grasp),
-                             (old.actuation, old.drift, old.grasp)):
+        # Each stream has reached the old one's position: the next value the
+        # env would take is the old stream's next draw.
+        for got, want, draw in (
+                (env._noise, old.actuation, lambda r: r.normal(0.0, dist.actuation_noise_sigma)),
+                (env._drift, old.drift, lambda r: r.random()),
+                (env._grasp, old.grasp, lambda r: r.random())):
             assert (got is None) == (want is None)
-            assert got is None or got.bit_generator.state == want.bit_generator.state
+            assert got is None or next(got) == draw(want)
         drifts, grasp_draws = drifts + old.drifts, grasp_draws + old.grasp_draws
     assert (drifts > 0) == drift and (grasp_draws > 0) == grasp
 
@@ -382,7 +387,7 @@ def test_initial_state_matches_uniform(world_size):
         env.reset()
         assert same_state(env.state, np_initial_state(rng, world_size, points))
         assert env.state.step == 0
-        assert env._rng_init.bit_generator.state == rng.bit_generator.state
+        assert next(env._init) == rng.random()  # the init stream took as many values
     assert len(points) > 3 * 500  # some loops rejected a draw
 
 
