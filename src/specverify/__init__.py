@@ -8,9 +8,8 @@ a threshold. A seeded harness measures the efficiency/robustness trade-off.
 
 from .core import (ActionSpace, ConfigurationError, ContractViolation,
                    deviation_score)
-from .controller import (ControllerMode, Decision, EpisodeTrace, LatencyModel,
-                         ThresholdConfig, cost_bounds, decide, run_episode,
-                         run_episodes)
+from .controller import (ControllerConfig, ControllerMode, Decision, EpisodeTrace,
+                         LatencyModel, decide, run_episodes)
 from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
                   expert_action, is_success, render_observation, transition)
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner

@@ -12,9 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .core import ConfigurationError, ContractViolation
+from .core import ConfigurationError, ContractViolation, named
 from .env import DisturbanceConfig
-from .harness import (ExperimentConfig, _named, aggregate, load_config, override_config,
+from .harness import (ExperimentConfig, aggregate, load_config, override_config,
                       read_traces, reference_batch, rows_to_csv, run_batch,
                       run_sweep, save_config, train_from_config, write_traces)
 from .verifier import save_verifier
@@ -107,7 +107,7 @@ def cmd_report(args) -> int:
         if path.stem.startswith("reference_"):
             references[path.stem.removeprefix("reference_")] = read_traces(path)
         else:  # a cell is named ``..._<level>``
-            _named(str(path), DisturbanceConfig.from_level, path.stem.rsplit("_", 1)[-1])
+            named(str(path), DisturbanceConfig.from_level, path.stem.rsplit("_", 1)[-1])
             cells[path.stem] = read_traces(path)
     rows = []
     for name, traces in cells.items():

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError, deviation_score, is_finite_number
+from .core import ActionSpace, ConfigurationError, deviation_score, is_finite_number, named
 from .env import ToyEnv, render_observations
 
 
@@ -50,18 +50,6 @@ class LatencyModel:
             raise ConfigurationError("t_verify: must not exceed t_heavy")
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    tau: float = 0.2
-    max_replans: int = 32
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ConfigurationError(f"tau: must lie in (0, 1), got {self.tau}")
-        if self.max_replans < 1:
-            raise ConfigurationError(f"max_replans: must be >= 1, got {self.max_replans}")
-
-
 class ControllerMode(str, Enum):
     SV = "sv"
     OPEN_LOOP = "open-loop"
@@ -79,6 +67,23 @@ class ControllerMode(str, Enum):
         return self is not ControllerMode.OPEN_LOOP
 
 
+@dataclass(frozen=True)
+class ControllerConfig:
+    """Mode, replan threshold, replan guard and simulated latencies, checked here once."""
+
+    mode: str = "sv"
+    tau: float = 0.2
+    max_replans: int = 32
+    latency: LatencyModel = field(default_factory=LatencyModel)
+
+    def __post_init__(self):
+        named("mode", ControllerMode, self.mode)
+        if not (0.0 < self.tau < 1.0):
+            raise ConfigurationError(f"tau: must lie in (0, 1), got {self.tau}")
+        if self.max_replans < 1:
+            raise ConfigurationError(f"max_replans: must be >= 1, got {self.max_replans}")
+
+
 class Decision(NamedTuple):
     accept: bool
     score: float  # normalized deviation in [0, 1]
@@ -87,8 +92,6 @@ class Decision(NamedTuple):
 def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace, tau: float):
     """Binary execution rule: accept iff the normalized deviation is <= tau.
     Matching rows of planned and reference actions give one Decision per row."""
-    if not (0.0 < tau < 1.0):
-        raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
     score = deviation_score(planned, reference, space)
     if planned.ndim == 1:
         return Decision(score <= tau, score)
@@ -267,15 +270,7 @@ def _state_hash(state, goal: str, memo: list | None = None) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
-def cost_bounds(latency: LatencyModel, chunk_size: int):
-    """Best/worst-case amortized per-step inference cost for chunk size K."""
-    if chunk_size < 1:
-        raise ConfigurationError("chunk size must be >= 1")
-    return (latency.t_heavy / chunk_size + latency.t_verify,
-            latency.t_heavy + latency.t_verify)
-
-
-def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdConfig,
+def _episode(env: ToyEnv, planner, mode: ControllerMode, max_replans: int,
              trace: EpisodeTrace):
     """One episode's loop, filling ``trace``, as a generator: it yields each
     verification request ``(context, true_state, planned_action)`` and is sent
@@ -329,7 +324,7 @@ def _episode(env: ToyEnv, planner, mode: ControllerMode, threshold: ThresholdCon
                         "score": decision.score,
                     })
                     if not decision.accept:
-                        if trace.replans >= threshold.max_replans:
+                        if trace.replans >= max_replans:
                             trace.guard_hit = True
                         else:
                             trace.replans += 1
@@ -354,8 +349,7 @@ def _advance(episode, answer=None):
         return None
 
 
-def run_episodes(envs, planner, verifier, mode: ControllerMode,
-                 threshold: ThresholdConfig, latency: LatencyModel) -> list:
+def run_episodes(envs, planner, verifier, config: ControllerConfig) -> list:
     """Run one episode per env in lockstep, returning their traces in order.
 
     Each control step advances every live episode to its next verification
@@ -364,15 +358,15 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
     ``decide`` over them serve all of these requests. The env and planner stay
     per episode, so each episode draws and computes exactly as it would alone.
     """
-    mode = ControllerMode(mode)
+    mode = ControllerMode(config.mode)
     if mode.needs_verifier and verifier is None:
         raise ConfigurationError(f"mode {mode.value} requires a verifier")
     if len({env.geom for env in envs}) > 1:
         raise ConfigurationError("episodes run together must share one geometry")
     traces = [EpisodeTrace(seed=env.seed, mode=mode.value, chunk_size=planner.chunk_size,
-                           tau=threshold.tau if mode.is_sv else None, latency=latency)
+                           tau=config.tau if mode.is_sv else None, latency=config.latency)
               for env in envs]
-    episodes = [_episode(env, planner, mode, threshold, trace)
+    episodes = [_episode(env, planner, mode, config.max_replans, trace)
                 for env, trace in zip(envs, traces)]
     live = [(ep, request) for ep in episodes if (request := _advance(ep)) is not None]
     zero_ctx = mode is ControllerMode.SV_NO_CONTEXT
@@ -384,13 +378,7 @@ def run_episodes(envs, planner, verifier, mode: ControllerMode,
                                   true_state=states, zero_context=zero_ctx,
                                   zero_observation=zero_obs)
         answers = (refs.tolist() if mode is ControllerMode.VERIFIER_ONLY
-                   else decide(np.array(planned), refs, space, threshold.tau))
+                   else decide(np.array(planned), refs, space, config.tau))
         live = [(ep, request) for (ep, _), answer in zip(live, answers)
                 if (request := _advance(ep, answer)) is not None]
     return traces
-
-
-def run_episode(env: ToyEnv, planner, verifier, mode: ControllerMode,
-                threshold: ThresholdConfig, latency: LatencyModel) -> EpisodeTrace:
-    """Run one episode to success, horizon exhaustion, or the replan guard."""
-    return run_episodes([env], planner, verifier, mode, threshold, latency)[0]

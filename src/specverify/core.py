@@ -26,41 +26,29 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _frozen_array(values, dim_name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ContractViolation(f"{dim_name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation(f"{dim_name} contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+def named(name: str, check, *args, **kwargs):
+    """Run an existing check; its error, or an unknown enum value, names ``name``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class ActionSpace:
-    """Axis-aligned box of valid control vectors."""
+    """Axis-aligned box of valid control vectors, held as read-only float64
+    arrays; ``Geometry`` builds it from a step bound it has checked."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = _frozen_array(self.lower, "lower")
-        upper = _frozen_array(self.upper, "upper")
-        if lower.shape != upper.shape:
-            raise ContractViolation("lower/upper length mismatch")
-        if lower.size < 1:
-            raise ContractViolation("action space needs at least one dimension")
-        if not np.all(lower < upper):
-            raise ContractViolation("lower must be strictly below upper in every dimension")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        for name in ("lower", "upper"):
+            bound = np.array(getattr(self, name), dtype=np.float64)
+            bound.setflags(write=False)
+            object.__setattr__(self, name, bound)
         # Sum of per-dimension ranges; the normalizer for deviation scores.
-        object.__setattr__(self, "range_sum", float(np.sum(upper - lower)))
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
+        object.__setattr__(self, "range_sum", float(np.sum(self.upper - self.lower)))
 
     def clamp(self, values) -> np.ndarray:
         return np.clip(np.asarray(values, dtype=np.float64), self.lower, self.upper)

@@ -46,8 +46,8 @@ class Geometry:
 
     def __post_init__(self):
         for name in ("world_size", "step_bound", "grasp_radius", "success_radius"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ConfigurationError(f"{name}: must be positive and finite, got {value}")
         if self.world_size <= _MIN_WORLD_SIZE:
             raise ConfigurationError(
                 f"world_size: must exceed {_MIN_WORLD_SIZE:.4f}, so that every object "

@@ -18,9 +18,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .controller import (RECORD_CHECKS, ControllerMode, EpisodeTrace, LatencyModel,
-                         ThresholdConfig, run_episodes)
-from .core import ConfigurationError, is_finite_number
+from .controller import (RECORD_CHECKS, ControllerConfig, ControllerMode, EpisodeTrace,
+                         run_episodes)
+from .core import ConfigurationError, is_finite_number, named
 from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
 from .planner import make_planner
 from .verifier import (BOUNDARIES, ObservationEncoder, OracleVerifier,
@@ -36,14 +36,6 @@ CSV_COLUMNS = [
     "mean_steps_before_replan", "mean_steps_before_replan_events_only",
     "guard_hits",
 ]
-
-
-def _named(name: str, check, *args, **kwargs):
-    """Run an existing check; its error, or an unknown enum value, names ``name``."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class TrainingConfig:
             raise ConfigurationError(
                 f"boundaries: must be one of {BOUNDARIES}, got {self.boundaries!r}")
         if self.disturbance_level is not None:
-            _named("disturbance_level", DisturbanceConfig.from_level, self.disturbance_level)
+            named("disturbance_level", DisturbanceConfig.from_level, self.disturbance_level)
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,7 @@ class VerifierConfig:
     def __post_init__(self):
         if self.kind not in ("trained", "oracle"):
             raise ConfigurationError(f"kind: unknown kind {self.kind!r}")
-        _named("encoder_width", ObservationEncoder.check_width, OBS_DIM, self.encoder_width)
+        named("encoder_width", ObservationEncoder.check_width, OBS_DIM, self.encoder_width)
         if self.hidden_width < 1:
             raise ConfigurationError(f"hidden_width: must be >= 1, got {self.hidden_width}")
 
@@ -95,18 +87,6 @@ class PlannerConfig:
 
     def __post_init__(self):
         make_planner(self.kind, Geometry(), self.chunk_size, self.context_width)
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    mode: str = "sv"
-    tau: float = 0.2
-    max_replans: int = 32
-    latency: LatencyModel = field(default_factory=LatencyModel)
-
-    def __post_init__(self):
-        _named("mode", ControllerMode, self.mode)
-        ThresholdConfig(tau=self.tau, max_replans=self.max_replans)
 
 
 @dataclass(frozen=True)
@@ -129,17 +109,19 @@ class SweepConfig:
     def __post_init__(self):
         for f in fields(self):  # a repeated value would overwrite its cell's trace file
             values = getattr(self, f.name)
+            if not values:
+                raise ConfigurationError(f"{f.name}: must be nonempty")
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigurationError(f"{f.name}: duplicate value {value!r}")
         for k in self.chunk_sizes:
-            _named("chunk_sizes", PlannerConfig, chunk_size=k)
+            named("chunk_sizes", PlannerConfig, chunk_size=k)
         for tau in self.taus:
-            _named("taus", ThresholdConfig, tau=tau)
+            named("taus", ControllerConfig, tau=tau)
         for level in self.disturbance_levels:
-            _named("disturbance_levels", DisturbanceConfig.from_level, level)
+            named("disturbance_levels", DisturbanceConfig.from_level, level)
         for mode in self.modes:
-            _named("modes", ControllerMode, mode)
+            named("modes", ControllerMode, mode)
 
 
 @dataclass(frozen=True)
@@ -150,7 +132,7 @@ class ReferenceConfig:
     chunk_size: int = 4
 
     def __post_init__(self):
-        _named("mode", ControllerMode, self.mode)
+        named("mode", ControllerMode, self.mode)
         PlannerConfig(chunk_size=self.chunk_size)
 
 
@@ -164,7 +146,7 @@ class EnvSection:
     def __post_init__(self):
         self.episode_config()  # checks the horizon
         # A level names the disturbance only while it equals that level's fields.
-        if self.disturbance_level is not None and self.disturbance != _named(
+        if self.disturbance_level is not None and self.disturbance != named(
                 "disturbance_level", DisturbanceConfig.from_level, self.disturbance_level):
             object.__setattr__(self, "disturbance_level", None)
 
@@ -261,7 +243,7 @@ def _apply_env_spelling(env: EnvSection, data: dict, path: str) -> EnvSection:
         where = f"{path}.disturbance.level"
         level = _typed(str | None, disturbance["level"], where)
         seed = (DisturbanceConfig() if level is None
-                else _named(where, DisturbanceConfig.from_level, level))
+                else named(where, DisturbanceConfig.from_level, level))
         env = replace(env, disturbance=seed, disturbance_level=level)
     return env
 
@@ -323,7 +305,7 @@ def build_verifier(cfg: ExperimentConfig):
     if cfg.verifier.params_path:
         encoder, params = load_verifier(cfg.verifier.params_path)
         widths = (encoder.obs_dim, params.input_width - encoder.width, params.action_dim)
-        if widths != (OBS_DIM, cfg.planner.context_width, space.dim):
+        if widths != (OBS_DIM, cfg.planner.context_width, space.lower.size):
             raise ConfigurationError(
                 f"{cfg.verifier.params_path}: observation/context/action widths {widths} "
                 f"do not fit this config")
@@ -357,8 +339,9 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
               episodes: int | None = None):
     """Run the configured episode count with seeds base_seed + index, all in
     one lockstep batch."""
-    mode = ControllerMode(cfg.controller.mode if mode is None else mode)
-    if verifier is None and mode.needs_verifier:
+    controller = replace(cfg.controller, mode=cfg.controller.mode if mode is None else mode,
+                         tau=cfg.controller.tau if tau is None else tau)
+    if verifier is None and ControllerMode(controller.mode).needs_verifier:
         verifier = build_verifier(cfg)
     disturbance = (cfg.env.disturbance if disturbance_level is None
                    else DisturbanceConfig.from_level(disturbance_level))
@@ -366,11 +349,9 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
     planner = make_planner(cfg.planner.kind, cfg.env.geometry,
                            cfg.planner.chunk_size if chunk_size is None else chunk_size,
                            cfg.planner.context_width)
-    threshold = ThresholdConfig(tau=cfg.controller.tau if tau is None else tau,
-                                max_replans=cfg.controller.max_replans)
     n = episodes if episodes is not None else cfg.batch.episodes
     envs = ToyEnv.batch(episode_cfg, range(cfg.batch.base_seed, cfg.batch.base_seed + n))
-    return run_episodes(envs, planner, verifier, mode, threshold, cfg.controller.latency)
+    return run_episodes(envs, planner, verifier, controller)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +493,8 @@ def read_traces(path):
 def reference_batch(cfg: ExperimentConfig, disturbance_level: str | None = None):
     """Open-loop baseline batch; without a level it runs under the configured
     disturbance, explicit overrides included."""
-    return run_batch(cfg, mode=cfg.reference.mode,
-                     chunk_size=cfg.reference.chunk_size,
-                     disturbance_level=disturbance_level, verifier=None)
+    return run_batch(cfg, mode=cfg.reference.mode, chunk_size=cfg.reference.chunk_size,
+                     disturbance_level=disturbance_level)
 
 
 def _one_step(mode: ControllerMode, k: int) -> bool:
@@ -540,9 +520,6 @@ def run_sweep(cfg: ExperimentConfig):
     level runs its K=1 batch (see ``_one_step``) once, the reference included:
     the other cells it serves get relabelled copies.
     """
-    if not (cfg.sweep.chunk_sizes and cfg.sweep.taus
-            and cfg.sweep.disturbance_levels and cfg.sweep.modes):
-        raise ConfigurationError("sweep axes must be nonempty")
     verifier = None
     if any(ControllerMode(m).needs_verifier for m in cfg.sweep.modes):
         verifier = build_verifier(cfg)
@@ -560,8 +537,7 @@ def run_sweep(cfg: ExperimentConfig):
                         traces = _relabelled(one_step, mode, tau)
                     else:
                         traces = run_batch(cfg, mode=mode, chunk_size=k, tau=tau,
-                                           disturbance_level=level,
-                                           verifier=verifier if mode_e.needs_verifier else None)
+                                           disturbance_level=level, verifier=verifier)
                         if _one_step(mode_e, k):
                             one_step = traces
                     name = f"{mode}_K{k}" + (f"_tau{tau}" if tau is not None else "") \

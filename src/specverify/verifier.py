@@ -206,10 +206,6 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     chunk's context and the expert action at the true current state. With
     boundaries="first" only each episode's first chunk contributes samples.
     """
-    if episodes < 1:
-        raise ConfigurationError("episodes must be >= 1")
-    if boundaries not in BOUNDARIES:
-        raise ConfigurationError(f"boundaries must be 'all' or 'first', got {boundaries!r}")
     geom = config.geometry
     samples = []
     for env in ToyEnv.batch(config, range(seed, seed + episodes)):

@@ -1,6 +1,8 @@
-"""Verifier parameters as one flat vector, for finite-difference gradient checks."""
+"""Test helpers: verifier parameters as one flat vector, for finite-difference
+gradient checks, and the cost bounds the latency model implies."""
 import numpy as np
 
+from specverify.core import ConfigurationError
 from specverify.verifier import VerifierParams
 
 
@@ -17,3 +19,11 @@ def with_flat(params: VerifierParams, values: np.ndarray) -> VerifierParams:
         arr[...] = values[i:i + arr.size].reshape(arr.shape)
         i += arr.size
     return out
+
+
+def cost_bounds(latency, chunk_size: int):
+    """Best/worst-case amortized per-step inference cost for chunk size K."""
+    if chunk_size < 1:
+        raise ConfigurationError("chunk size must be >= 1")
+    return (latency.t_heavy / chunk_size + latency.t_verify,
+            latency.t_heavy + latency.t_verify)

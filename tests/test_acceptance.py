@@ -13,8 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specverify.controller import (ControllerMode, LatencyModel,
-                                   ThresholdConfig, cost_bounds, decide, run_episode)
+from specverify.controller import ControllerConfig, LatencyModel, decide, run_episodes
 from specverify.core import ActionSpace
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
                             ToyEnv)
@@ -24,7 +23,7 @@ from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  VerifierParams, build_training_set,
                                  loss_and_grads, train_verifier)
 
-from helpers import flat, with_flat
+from helpers import cost_bounds, flat, with_flat
 
 
 def report(number: int, description: str, passed: bool):
@@ -88,9 +87,8 @@ def test_criterion_2_accounting_identity():
             for tau in threshold_grid:
                 for i in range(56):
                     env = ToyEnv(episode_cfg, seed=1000 + i)
-                    tr = run_episode(env, planner, OracleVerifier(geom),
-                                     ControllerMode.SV,
-                                     ThresholdConfig(tau=tau), lat)
+                    tr = run_episodes([env], planner, OracleVerifier(geom),
+                                      ControllerConfig(tau=tau, latency=lat))[0]
                     episodes += 1
                     identity = (tr.simulated_inference_time
                                 == tr.heavy_calls * lat.t_heavy
@@ -145,8 +143,7 @@ def test_criterion_4_algorithm_oracle_scenario():
     env = ToyEnv(EpisodeConfig(horizon=8, geometry=geom), seed=0,
                  initial_state=start)
     planner = NominalRolloutPlanner(geom, chunk_size=4)
-    tr = run_episode(env, planner, OracleVerifier(geom), ControllerMode.SV,
-                     ThresholdConfig(), LatencyModel())
+    tr = run_episodes([env], planner, OracleVerifier(geom), ControllerConfig())[0]
     fields = (tr.success, tr.executed_steps, tr.heavy_calls, tr.verifier_calls,
               tr.replans)
     report(4, "hand-simulated 1-D scenario: success at step 4, one plan, "

@@ -196,6 +196,17 @@ def test_sweep_rejects_repeated_axis_value(tmp_path, capsys, axis, values, shown
     assert not out.exists()
 
 
+def test_sweep_rejects_empty_axis(tmp_path, capsys):
+    """An empty axis is a configuration error, found before any output is written."""
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "verifier": {"kind": "oracle"}, "batch": {"episodes": 3}, "sweep": {"taus": []},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: sweep.taus: must be nonempty\n"
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", {"controller": {"tau": 2.0}})
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 2

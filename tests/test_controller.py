@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from specverify import controller as controller_module
 from specverify import env as env_module
 from specverify.core import ActionSpace, ConfigurationError, ContractViolation
-from specverify.controller import (ControllerMode, EpisodeTrace, LatencyModel,
-                                   ThresholdConfig, _state_hash, cost_bounds, decide,
-                                   run_episode, run_episodes)
+from specverify.controller import (ControllerConfig, ControllerMode, EpisodeTrace,
+                                   LatencyModel, _state_hash, decide, run_episodes)
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig, EnvState,
                             EpisodeConfig, Geometry, ToyEnv)
 from specverify.harness import run_batch
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import OracleVerifier
 
+from helpers import cost_bounds
 
 SPACE = ActionSpace(lower=[-0.25, -0.25, 0.0], upper=[0.25, 0.25, 1.0])
 
@@ -48,12 +48,12 @@ class TestConfigs:
             LatencyModel(t_ctrl=value)
 
     def test_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            ThresholdConfig(tau=0.0)
-        with pytest.raises(ConfigurationError):
-            ThresholdConfig(tau=1.0)
-        with pytest.raises(ConfigurationError):
-            ThresholdConfig(max_replans=0)
+        with pytest.raises(ConfigurationError, match="tau: must lie in"):
+            ControllerConfig(tau=0.0)
+        with pytest.raises(ConfigurationError, match="tau: must lie in"):
+            ControllerConfig(tau=1.0)
+        with pytest.raises(ConfigurationError, match="max_replans: must be >= 1"):
+            ControllerConfig(max_replans=0)
 
     def test_mode_flags(self):
         assert ControllerMode.SV.is_sv
@@ -82,11 +82,6 @@ class TestDecide:
         d = decide(planned, reference, SPACE, tau=0.2)
         assert d.score == pytest.approx(0.2)
         assert d.accept
-
-    def test_invalid_tau(self):
-        a = np.zeros(3)
-        with pytest.raises(ConfigurationError):
-            decide(a, a, SPACE, tau=1.5)
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(-0.25, 0.25), min_size=2, max_size=2), st.data())
@@ -164,9 +159,9 @@ def run(env, mode, *, chunk_size=16, tau=0.2, max_replans=32, verifier=None,
     planner = NominalRolloutPlanner(env.geom, chunk_size=chunk_size)
     if verifier is None and ControllerMode(mode).needs_verifier:
         verifier = OracleVerifier(env.geom)
-    return run_episode(env, planner, verifier, ControllerMode(mode),
-                       ThresholdConfig(tau=tau, max_replans=max_replans),
-                       latency or LatencyModel())
+    config = ControllerConfig(mode=mode, tau=tau, max_replans=max_replans,
+                              latency=latency or LatencyModel())
+    return run_episodes([env], planner, verifier, config)[0]
 
 
 class TestEpisodeLoop:
@@ -177,8 +172,7 @@ class TestEpisodeLoop:
         env = ToyEnv(EpisodeConfig(horizon=8, geometry=geom), seed=0,
                      initial_state=start)
         planner = NominalRolloutPlanner(geom, chunk_size=4)
-        tr = run_episode(env, planner, OracleVerifier(geom), ControllerMode.SV,
-                         ThresholdConfig(), LatencyModel())
+        tr = run_episodes([env], planner, OracleVerifier(geom), ControllerConfig())[0]
         assert (tr.success, tr.executed_steps, tr.heavy_calls,
                 tr.verifier_calls, tr.replans) == (True, 4, 1, 3, 0)
 
@@ -186,16 +180,14 @@ class TestEpisodeLoop:
         env = clean_env()
         planner = NominalRolloutPlanner(env.geom, chunk_size=4)
         with pytest.raises(ConfigurationError):
-            run_episode(env, planner, None, ControllerMode.SV,
-                        ThresholdConfig(), LatencyModel())
+            run_episodes([env], planner, None, ControllerConfig())
 
     def test_mixed_geometries_rejected(self):
         """One decide serves a whole tick, so a batch shares one action space."""
         envs = [clean_env(), ToyEnv(EpisodeConfig(geometry=Geometry(step_bound=0.5)), seed=1)]
         planner = NominalRolloutPlanner(envs[0].geom, chunk_size=4)
         with pytest.raises(ConfigurationError):
-            run_episodes(envs, planner, OracleVerifier(envs[0].geom), ControllerMode.SV,
-                         ThresholdConfig(), LatencyModel())
+            run_episodes(envs, planner, OracleVerifier(envs[0].geom), ControllerConfig())
 
     def test_clean_oracle_never_replans(self):
         for seed in range(10):
@@ -339,8 +331,7 @@ def test_step_hashes_match_states_hashed_from_scratch(monkeypatch):
         agent_pos=[1.2, 0.7], object_pos=[1.2, 0.7], goal_pos=[1.25, 0.7],
         gripper=GRIPPER_HOLDING, step=0)))
     traces = run_episodes(envs, NominalRolloutPlanner(cfg.geometry, chunk_size=8),
-                          OracleVerifier(cfg.geometry), ControllerMode.SV,
-                          ThresholdConfig(), LatencyModel())
+                          OracleVerifier(cfg.geometry), ControllerConfig())
     seen = set()
     for env, trace in zip(envs, traces):
         goal = repr(list(env.state.goal_pos))

@@ -29,19 +29,6 @@ class TestActionSpace:
     def test_range_sum(self):
         space = ActionSpace(lower=[-0.25, -0.25, 0.0], upper=[0.25, 0.25, 1.0])
         assert space.range_sum == pytest.approx(2.0)
-        assert space.dim == 3
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ContractViolation):
-            ActionSpace(lower=[0.0, 1.0], upper=[1.0, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ContractViolation):
-            ActionSpace(lower=[], upper=[])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ContractViolation):
-            ActionSpace(lower=[0.0, np.nan], upper=[1.0, 1.0])
 
     def test_clamp_and_action_factory(self):
         """Clamping is how actions are built: out-of-box components land on the box."""
@@ -50,7 +37,8 @@ class TestActionSpace:
         assert np.all(space.clamp([2.0, -2.0]) == [1.0, 0.0])
 
     def test_arrays_are_read_only(self):
-        space = unit_space(2)
+        space = ActionSpace(lower=[0, 0], upper=[1, 1])
+        assert space.lower.dtype == space.upper.dtype == np.float64
         with pytest.raises(ValueError):
             space.lower[0] = -1.0
 
@@ -60,8 +48,6 @@ class TestValueObjects:
     chunk and a context vector."""
 
     def test_action_requires_vector(self):
-        with pytest.raises(ContractViolation):
-            ActionSpace(lower=[[0.0, 0.0]], upper=[[1.0, 1.0]])
         with pytest.raises(ContractViolation):
             deviation_score(np.zeros((1, 3)), np.zeros(3), unit_space())
 

@@ -1,5 +1,6 @@
 """Environment tests: determinism, expert completeness, disturbance streams."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestConfigs:
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):
             Geometry(step_bound=0.0)
+
+    @pytest.mark.parametrize("bound", (math.nan, math.inf))
+    def test_non_finite_step_bound(self, bound):
+        """The step bound spans the action box, and only here is it checked."""
+        with pytest.raises(ConfigurationError, match="step_bound: must be positive and finite"):
+            Geometry(step_bound=bound)
 
     def test_invalid_horizon(self):
         with pytest.raises(ConfigurationError):

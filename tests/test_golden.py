@@ -6,11 +6,12 @@ computed them, as the bench's trained-file check does. Changing a digest
 changes a check: say which one changed and why in CHANGES.md.
 """
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specverify.controller import ThresholdConfig, run_episode
+from specverify.controller import run_episodes
 from specverify.env import ToyEnv
 from specverify.harness import (config_from_dict, run_batch, save_config,
                                 train_from_config, write_traces)
@@ -167,9 +168,9 @@ def test_batch_matches_episodes_run_alone(tmp_path, moderate_config, trained_ver
     batch = run_batch(cfg, mode=mode, verifier=verifier, episodes=200)
     planner = make_planner(cfg.planner.kind, cfg.env.geometry, cfg.planner.chunk_size,
                            cfg.planner.context_width)
-    threshold = ThresholdConfig(tau=cfg.controller.tau, max_replans=cfg.controller.max_replans)
-    alone = [run_episode(ToyEnv(cfg.env.episode_config(), seed=t.seed), planner, verifier,
-                         mode, threshold, cfg.controller.latency) for t in batch]
+    controller = replace(cfg.controller, mode=mode)
+    alone = [run_episodes([ToyEnv(cfg.env.episode_config(), seed=t.seed)], planner, verifier,
+                          controller)[0] for t in batch]
     assert [t.seed for t in alone] == list(range(200))
     assert traces_digest(tmp_path, alone) == traces_digest(tmp_path, batch)
 

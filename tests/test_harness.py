@@ -40,6 +40,7 @@ MALFORMED_CONFIGS = [
      "verifier.training.disturbance_level"),
     ({"controller": {"latency": {"t_ctrl": float("nan")}}}, "controller.latency.t_ctrl"),
     ({"controller": {"latency": {"t_verify": True}}}, "controller.latency.t_verify"),
+    ({"verifier": {"training": {"episodes": 0}}}, "verifier.training.episodes"),
 ]
 
 
@@ -281,10 +282,13 @@ class TestSweep:
         assert len({id(x) for x in lists}) == len(lists) == 3 * len(traces)
 
     def test_empty_axes_rejected(self):
-        cfg = oracle_config()
-        cfg = replace(cfg, sweep=replace(cfg.sweep, taus=()))
-        with pytest.raises(ConfigurationError):
-            run_sweep(cfg)
+        """An empty axis is rejected where the sweep settings are made."""
+        sweep = oracle_config().sweep
+        for axis in ("chunk_sizes", "taus", "disturbance_levels", "modes"):
+            with pytest.raises(ConfigurationError, match=rf"^sweep\.{axis}: must be nonempty$"):
+                config_from_dict({"sweep": {axis: []}})
+            with pytest.raises(ConfigurationError, match=rf"^{axis}: must be nonempty$"):
+                replace(sweep, **{axis: ()})
 
 
 class TestTraceFiles:

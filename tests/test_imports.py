@@ -1,7 +1,8 @@
 """Import hygiene: every module-level import in the package and the tests is
-used, and importing the CLI loads no more of numpy than it needs.
+used, every module-level function and class of the package is used by the
+package itself, and importing the CLI loads no more of numpy than it needs.
 
-No linter ships with the toolchain, so this AST scan stands in for one. The
+No linter ships with the toolchain, so these AST scans stand in for one. The
 package's ``__init__.py`` is exempt: its imports are the public re-exports.
 """
 import ast
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "specverify").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "specverify").glob("*.py")
+                 if p.name != "__init__.py")
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,6 +42,31 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_definitions(sources: dict) -> list:
+    """Module-level functions and classes of ``{module name: source}`` whose
+    name no other module-level statement of these modules reads."""
+    nodes = [(module, node) for module, source in sources.items()
+             for node in ast.parse(source).body]
+    defined = [(module, node.name) for module, node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return [f"{module}.{name}" for module, name in defined
+            if not any(n.id == name for owner, node in nodes
+                       if (owner, getattr(node, "name", None)) != (module, name)
+                       for n in ast.walk(node) if isinstance(n, ast.Name))]
+
+
+def test_scan_finds_an_unused_definition():
+    sources = {"a": "def f():\n    return f()\n\n\nclass C:\n    pass\n",
+               "b": "from a import C\n\n\ndef g():\n    return C()\n\n\ng()\n"}
+    assert unused_definitions(sources) == ["a.f"]
+
+
+def test_package_definitions_are_used():
+    """A function or class only the tests call is test code: it belongs in the
+    tests, or nowhere."""
+    assert unused_definitions({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def test_importing_the_cli_loads_no_numpy_random():

@@ -188,14 +188,6 @@ class TestDataset:
         samples = build_training_set(cfg, planner, episodes=1, seed=0)
         assert len(samples) < 16
 
-    def test_invalid_args(self, geometry):
-        planner = NominalRolloutPlanner(geometry, chunk_size=4)
-        cfg = EpisodeConfig(horizon=8, geometry=geometry)
-        with pytest.raises(ConfigurationError):
-            build_training_set(cfg, planner, episodes=0, seed=0)
-        with pytest.raises(ConfigurationError):
-            build_training_set(cfg, planner, episodes=1, seed=0, boundaries="last")
-
     def test_targets_are_expert_actions(self, geometry, clean_samples):
         for s in clean_samples[:40]:
             assert s[2].shape == (3,)
