@@ -15,13 +15,12 @@ At each control step, one verifier call serves every episode that verifies
 at that step. All planner/verifier calls are charged, per episode, to a
 simulated clock; the identity
 ``simulated_inference_time == heavy_calls*T_heavy + verifier_calls*T_verify``
-holds on every trace.
+holds on every trace. A trace is plain data: its step and decision records
+are dicts, and ``harness`` owns the file format they are written in.
 """
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -98,79 +97,6 @@ def decide(planned: np.ndarray, reference: np.ndarray, space: ActionSpace, tau: 
     return [Decision(s <= tau, s) for s in score]
 
 
-#: EpisodeTrace fields, and LatencyModel fields, written to the summary line.
-_SUMMARY_FIELDS = ("seed", "mode", "chunk_size", "tau", "heavy_calls", "verifier_calls",
-                   "executed_steps", "replans", "guard_hit", "success",
-                   "steps_before_replan", "completed_chunk_lengths")
-_LATENCY_FIELDS = ("t_heavy", "t_verify", "t_ctrl")
-#: ``json.dumps(r, sort_keys=True)`` without building an encoder per call; it
-#: writes the summary line and a non-finite float.
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def _json_float(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
-    return repr(x) if math.isfinite(x) else _encode(x)
-
-
-# The two record lines, each ``json.dumps(r, sort_keys=True)`` spelled out: keys
-# in sorted order, json's separators, a finite float as its repr (what json
-# writes for one; ``format(x, "")`` is that repr too). A state hash is hex, so
-# it needs no escaping. A verifier-only step executes the verifier's clamped
-# row, and clipping passes NaN through, so a non-finite action is spelled as
-# json spells it.
-def _step_line(r: dict) -> str:
-    a0, a1, a2 = action = r["action"]
-    if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
-        a0, a1, a2 = map(_json_float, action)
-    return (f'{{"action": [{a0}, {a1}, {a2}], "state_hash": "{r["state_hash"]}", '
-            f'"step": {r["step"]}, "type": "step"}}\n')
-
-
-def _decision_line(r: dict) -> str:
-    return (f'{{"accept": {"true" if r["accept"] else "false"}, '
-            f'"score": {_json_float(r["score"])}, "step": {r["step"]}, "type": "decision"}}\n')
-
-
-_RECORD_LINE = {"step": _step_line, "decision": _decision_line}
-
-#: json's numbers; a bool is neither, though Python counts it an int.
-_NUMBER = frozenset((int, float))
-
-#: Summary fields by what the engine writes in them. The mode and tau, and the
-#: latencies, are checked on their own.
-_SUMMARY_TYPES = (
-    (("seed", "heavy_calls", "verifier_calls", "executed_steps", "replans"), "an int >= 0",
-     lambda v: type(v) is int and v >= 0),
-    (("chunk_size",), "an int >= 1", lambda v: type(v) is int and v >= 1),
-    (("guard_hit", "success"), "a bool", lambda v: type(v) is bool),
-    (("steps_before_replan", "completed_chunk_lengths"), "a list of ints >= 1",
-     lambda v: type(v) is list and all(type(x) is int and x >= 1 for x in v)),
-)
-
-
-def _step_writable(r: dict) -> bool:
-    """Keys type, step, state_hash and action only: an int step, a hash of
-    ASCII letters and digits (the writer does not escape it) and a list of
-    three numbers, which may be non-finite."""
-    hash_, action = r.get("state_hash"), r.get("action")
-    return (len(r) == 4 and type(r.get("step")) is int and type(hash_) is str
-            and hash_.isascii() and hash_.isalnum() and type(action) is list
-            and len(action) == 3 and type(action[0]) in _NUMBER
-            and type(action[1]) in _NUMBER and type(action[2]) in _NUMBER)
-
-
-def _decision_writable(r: dict) -> bool:
-    """Keys type, step, accept and score only: an int step, a bool and a number."""
-    return (len(r) == 4 and type(r.get("step")) is int and type(r.get("accept")) is bool
-            and type(r.get("score")) in _NUMBER)
-
-
-#: Per record type: whether a decoded record of that type has exactly the keys
-#: and value types its line writer above takes, so it is written back as read.
-RECORD_CHECKS = {"step": _step_writable, "decision": _decision_writable}
-
-
 @dataclass(eq=False)
 class EpisodeTrace:
     """Full per-step record of one episode plus the derived counters."""
@@ -194,57 +120,6 @@ class EpisodeTrace:
     def simulated_inference_time(self) -> float:
         return (self.heavy_calls * self.latency.t_heavy
                 + self.verifier_calls * self.latency.t_verify)
-
-    def to_jsonl(self) -> str:
-        summary = {k: getattr(self, k) for k in _SUMMARY_FIELDS}
-        summary.update({k: getattr(self.latency, k) for k in _LATENCY_FIELDS},
-                       type="summary", simulated_inference_time=self.simulated_inference_time)
-        lines = [_RECORD_LINE[r["type"]](r) for r in self.records]
-        lines.append(_encode(summary) + "\n")
-        return "".join(lines)
-
-    @classmethod
-    def from_summary(cls, summary: dict, records: list, steps: int, decisions: int,
-                     latencies: dict) -> "EpisodeTrace":
-        """Rebuild a trace from its summary record and the ``records`` before
-        it, of which ``steps`` are step and ``decisions`` decision records. Each
-        summary field must hold what the engine writes there (``_SUMMARY_TYPES``;
-        tau in (0, 1) in the sv modes, null in the others). The summary's step
-        count, verifier calls (sv modes) and simulated time are checked against
-        the records and against the accounting identity.
-
-        ``latencies`` holds one LatencyModel per distinct latency triple for
-        the traces read together. Its key is the triple's reprs, so 1 and 1.0,
-        or 0.0 and -0.0, get models of their own and are written back as read.
-        """
-        missing = [k for k in _SUMMARY_FIELDS + _LATENCY_FIELDS if k not in summary]
-        if missing:
-            raise ConfigurationError(f"summary record lacks {missing}")
-        for names, expected, holds in _SUMMARY_TYPES:
-            for name in names:
-                if not holds(summary[name]):
-                    raise ConfigurationError(
-                        f"summary {name}: expected {expected}, got {summary[name]!r}")
-        mode, tau = ControllerMode(summary["mode"]), summary["tau"]
-        if not (type(tau) is float and 0.0 < tau < 1.0 if mode.is_sv else tau is None):
-            expected = "a float in (0, 1)" if mode.is_sv else "null"
-            raise ConfigurationError(f"summary tau: expected {expected} in mode {mode.value}, "
-                                     f"got {tau!r}")
-        key = tuple(repr(summary[k]) for k in _LATENCY_FIELDS)
-        latency = latencies.get(key)
-        if latency is None:
-            latency = latencies[key] = LatencyModel(**{k: summary[k] for k in _LATENCY_FIELDS})
-        trace = cls(latency=latency, records=records,
-                    **{k: summary[k] for k in _SUMMARY_FIELDS})
-        checks = {"executed_steps": steps}
-        if mode.is_sv:
-            checks["verifier_calls"] = decisions
-        checks["simulated_inference_time"] = trace.simulated_inference_time
-        for name, expected in checks.items():
-            if summary.get(name) != expected:
-                raise ConfigurationError(
-                    f"summary {name} is {summary.get(name)!r}, expected {expected!r}")
-        return trace
 
 
 def _state_hash(state, goal: str, memo: list | None = None) -> str:

@@ -1,16 +1,17 @@
-"""Experiment driver: config loading, seeded batches, sweeps, aggregation.
+"""Experiment driver: configs, seeded batches, sweeps, aggregation, trace files.
 
 Configs are YAML with a version field, read by one walk over the config
 dataclasses' fields. Each dataclass checks its values in ``__post_init__``, so
 ``dataclasses.replace`` runs the same checks; their errors begin with the
-field name, and the walk prefixes the section's dotted path. All outputs
-(line-delimited trace files, CSV summary tables) are byte-deterministic given
-the same config.
+field name, and the walk prefixes the section's dotted path. The trace file
+format is defined here once, and its reader re-checks every record and episode.
+All outputs (trace files, CSV tables) are byte-deterministic given the config.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from json.scanner import make_scanner
@@ -18,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .controller import (RECORD_CHECKS, ControllerConfig, ControllerMode, EpisodeTrace,
+from .controller import (ControllerConfig, ControllerMode, EpisodeTrace, LatencyModel,
                          run_episodes)
 from .core import ConfigurationError, is_finite_number, named
 from .env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry, ToyEnv
@@ -355,7 +356,7 @@ def run_batch(cfg: ExperimentConfig, *, mode: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Aggregation and trace files
 # ---------------------------------------------------------------------------
 
 
@@ -421,10 +422,139 @@ def rows_to_csv(rows) -> str:
     return out.getvalue()
 
 
+#: ``json.dumps(r, sort_keys=True)`` without building an encoder per call; it
+#: writes the summary line and a non-finite float.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_float(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    return repr(x) if math.isfinite(x) else _encode(x)
+
+
+# The two record lines, each ``json.dumps(r, sort_keys=True)`` spelled out: keys
+# in sorted order, json's separators, a finite float as its repr (what json
+# writes for one; ``format(x, "")`` is that repr too). A state hash is hex, so
+# it needs no escaping. A verifier-only step executes the verifier's clamped
+# row, and clipping passes NaN through, so a non-finite action is spelled as
+# json spells it.
+def _step_line(r: dict) -> str:
+    a0, a1, a2 = action = r["action"]
+    if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
+        a0, a1, a2 = map(_json_float, action)
+    return (f'{{"action": [{a0}, {a1}, {a2}], "state_hash": "{r["state_hash"]}", '
+            f'"step": {r["step"]}, "type": "step"}}\n')
+
+
+def _decision_line(r: dict) -> str:
+    return (f'{{"accept": {"true" if r["accept"] else "false"}, '
+            f'"score": {_json_float(r["score"])}, "step": {r["step"]}, "type": "decision"}}\n')
+
+
+#: json's numbers; a bool is neither, though Python counts it an int.
+_NUMBER = frozenset((int, float))
+
+
+def _step_writable(r: dict) -> bool:
+    """Keys type, step, state_hash and action only: an int step, a hash of
+    ASCII letters and digits (the writer does not escape it) and a list of
+    three numbers, which may be non-finite."""
+    hash_, action = r.get("state_hash"), r.get("action")
+    return (len(r) == 4 and type(r.get("step")) is int and type(hash_) is str
+            and hash_.isascii() and hash_.isalnum() and type(action) is list
+            and len(action) == 3 and type(action[0]) in _NUMBER
+            and type(action[1]) in _NUMBER and type(action[2]) in _NUMBER)
+
+
+def _decision_writable(r: dict) -> bool:
+    """Keys type, step, accept and score only: an int step, a bool and a number."""
+    return (len(r) == 4 and type(r.get("step")) is int and type(r.get("accept")) is bool
+            and type(r.get("score")) in _NUMBER)
+
+
+#: Per record type: its line writer, and whether a decoded record has exactly
+#: the keys and value types that writer takes, so it is written back as read.
+_RECORDS = {"step": (_step_line, _step_writable),
+            "decision": (_decision_line, _decision_writable)}
+
+_COUNT = ("an int >= 0", lambda v: type(v) is int and v >= 0)
+_FLAG = ("a bool", lambda v: type(v) is bool)
+_LENGTHS = ("a list of ints >= 1",
+            lambda v: type(v) is list and all(type(x) is int and x >= 1 for x in v))
+
+#: The EpisodeTrace fields a summary line holds, each with what the engine
+#: writes there; mode and tau (None) are checked together. The line also holds
+#: the LatencyModel fields, the simulated time and its type.
+_SUMMARY = {
+    "seed": _COUNT, "mode": None, "tau": None, "guard_hit": _FLAG, "success": _FLAG,
+    "chunk_size": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "heavy_calls": _COUNT, "verifier_calls": _COUNT, "executed_steps": _COUNT, "replans": _COUNT,
+    "steps_before_replan": _LENGTHS, "completed_chunk_lengths": _LENGTHS,
+}
+_LATENCY = tuple(f.name for f in fields(LatencyModel))
+_SUMMARY_KEYS = frozenset((*_SUMMARY, *_LATENCY, "simulated_inference_time", "type"))
+
+
+def trace_text(trace: EpisodeTrace) -> str:
+    """One episode's lines: its step and decision records, then its summary."""
+    summary = {k: getattr(trace, k) for k in _SUMMARY}
+    summary.update({k: getattr(trace.latency, k) for k in _LATENCY}, type="summary",
+                   simulated_inference_time=trace.simulated_inference_time)
+    return "".join([_RECORDS[r["type"]][0](r) for r in trace.records]) + _encode(summary) + "\n"
+
+
 def write_traces(path, traces) -> None:
     with open(path, "w") as fh:
-        for tr in traces:
-            fh.write(tr.to_jsonl())
+        fh.writelines(map(trace_text, traces))
+
+
+def _closed_episode(summary: dict, records: list, latencies: dict) -> EpisodeTrace:
+    """The trace that ``summary`` closes, over the ``records`` before it.
+
+    The summary must have exactly the writer's keys, each holding what the
+    engine writes there (``_SUMMARY``; tau in (0, 1) in the sv modes, null in
+    the others). Then the paper's invariants are re-checked: each decision
+    accepts iff its score is <= tau (sv modes; other modes have no
+    decisions), the step count and verifier calls agree with the records and
+    the mode, one replan per ``steps_before_replan`` entry, heavy calls within
+    the chunk bounds, and the simulated time equals the accounting identity.
+
+    ``latencies`` holds one LatencyModel per distinct latency triple for the
+    traces read together. Its key is the triple's reprs, so 1 and 1.0, or 0.0
+    and -0.0, get models of their own and are written back as read.
+    """
+    if summary.keys() != _SUMMARY_KEYS:
+        raise ConfigurationError(f"summary record lacks {sorted(_SUMMARY_KEYS - summary.keys())}, "
+                                 f"has unknown keys {sorted(summary.keys() - _SUMMARY_KEYS)}")
+    for name, check in _SUMMARY.items():
+        if check is not None and not check[1](summary[name]):
+            raise ConfigurationError(f"summary {name}: expected {check[0]}, got {summary[name]!r}")
+    mode, tau = ControllerMode(summary["mode"]), summary["tau"]
+    sv, verifier_only = mode.is_sv, mode is ControllerMode.VERIFIER_ONLY
+    if not (type(tau) is float and 0.0 < tau < 1.0 if sv else tau is None):
+        raise ConfigurationError(f"summary tau: expected {'a float in (0, 1)' if sv else 'null'} "
+                                 f"in mode {mode.value}, got {tau!r}")
+    decisions = [r for r in records if r["type"] == "decision"]
+    broken = [r["step"] for r in decisions if not sv or r["accept"] is not (r["score"] <= tau)]
+    if broken:
+        raise ConfigurationError(f"decision records at steps {broken} break the rule "
+                                 f"accept == (score <= tau) in mode {mode.value}")
+    key = tuple(repr(summary[k]) for k in _LATENCY)
+    if (latency := latencies.get(key)) is None:
+        latency = latencies[key] = LatencyModel(**{k: summary[k] for k in _LATENCY})
+    trace = EpisodeTrace(latency=latency, records=records, **{k: summary[k] for k in _SUMMARY})
+    steps = len(records) - len(decisions)
+    checks = {"executed_steps": steps,
+              "verifier_calls": len(decisions) if sv else steps - 1 if verifier_only else 0,
+              "replans": len(trace.steps_before_replan),
+              "simulated_inference_time": trace.simulated_inference_time}
+    for name, expected in checks.items():
+        if summary[name] != expected:
+            raise ConfigurationError(f"summary {name} is {summary[name]!r}, expected {expected!r}")
+    low, high = (1, 1) if verifier_only else (-(-steps // trace.chunk_size), steps)
+    if not low <= (heavy := trace.heavy_calls) <= high:
+        raise ConfigurationError(f"summary heavy_calls is {heavy}, expected {low} to {high}")
+    return trace
 
 
 #: ``json.loads`` of a text line, without its per-call argument handling, and
@@ -437,20 +567,18 @@ def read_traces(path):
     """Traces from a file written by ``write_traces``. Each line is parsed
     once: in place in the file's text when its value ends at the line's
     newline, as the writer writes it, else by ``_decode`` of the line alone,
-    which accepts and rejects what ``json.loads`` does. Records are counted by
-    type as they are read; a step or decision record must have the writer's
-    keys and value types (``RECORD_CHECKS``), and a summary record closes its
-    episode, whose counters are re-checked against those counts. A damaged or
-    empty file, or a record of another type, raises ConfigurationError naming
-    the file (and the line)."""
+    which accepts and rejects what ``json.loads`` does. A step or decision
+    record must have the writer's keys and value types (``_RECORDS``), and a
+    summary record closes its episode (``_closed_episode``). A damaged or
+    empty file, a last line without its newline, or a record of another type
+    raises ConfigurationError naming the file (and the line)."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not text
         raise ConfigurationError(f"{path}: cannot read: {getattr(exc, 'strerror', exc)}") from exc
     text = "".join(lines)
-    traces, records, latencies = [], [], {}
-    steps = decisions = end = 0
+    traces, records, latencies, end = [], [], {}, 0
     for number, line in enumerate(lines, 1):
         start, end = end, end + len(line)
         try:
@@ -461,18 +589,13 @@ def read_traces(path):
             if stop != end - line.endswith("\n"):  # not one value that fills the line
                 record = _decode(line)
             kind = record.get("type")
-            if kind == "step":
-                steps += 1
-            elif kind == "decision":
-                decisions += 1
-            elif kind == "summary":
-                traces.append(EpisodeTrace.from_summary(record, records, steps, decisions,
-                                                        latencies))
-                records, steps, decisions = [], 0, 0
+            if kind == "summary":
+                traces.append(_closed_episode(record, records, latencies))
+                records = []
                 continue
-            else:
+            if not (type(kind) is str and kind in _RECORDS):
                 raise ConfigurationError(f"unknown record type {kind!r}")
-            if not RECORD_CHECKS[kind](record):
+            if not _RECORDS[kind][1](record):
                 raise ConfigurationError(
                     f"{kind} record lacks the keys or value types its writer takes: {record!r}")
             records.append(record)
@@ -482,6 +605,8 @@ def read_traces(path):
         raise ConfigurationError(f"{path}:{number}: trailing records without a summary line")
     if not traces:
         raise ConfigurationError(f"{path}: holds no traces")
+    if not text.endswith("\n"):  # written back, the last line would gain one
+        raise ConfigurationError(f"{path}:{number}: the last line lacks its newline")
     return traces
 
 

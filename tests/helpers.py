@@ -1,5 +1,8 @@
 """Test helpers: verifier parameters as one flat vector, for finite-difference
-gradient checks, and the cost bounds the latency model implies."""
+gradient checks, the cost bounds the latency model implies, and one edit to a
+trace file's summary."""
+import json
+
 import numpy as np
 
 from specverify.core import ConfigurationError
@@ -27,3 +30,16 @@ def cost_bounds(latency, chunk_size: int):
         raise ConfigurationError("chunk size must be >= 1")
     return (latency.t_heavy / chunk_size + latency.t_verify,
             latency.t_heavy + latency.t_verify)
+
+
+def edit_summary(lines: list, edit) -> int:
+    """Apply ``edit`` to the first summary among the trace file ``lines``, in
+    place, and set its simulated time to match its counters, so that only the
+    edit itself can be rejected. Returns the summary's index."""
+    end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+    summary = json.loads(lines[end])
+    edit(summary)
+    summary["simulated_inference_time"] = (summary["heavy_calls"] * summary["t_heavy"]
+                                           + summary["verifier_calls"] * summary["t_verify"])
+    lines[end] = json.dumps(summary, sort_keys=True) + "\n"
+    return end

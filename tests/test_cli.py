@@ -9,6 +9,8 @@ import pytest
 from specverify.cli import main
 from specverify.verifier import load_verifier
 
+from helpers import edit_summary
+
 
 def write_config(path, data):
     path.write_text(yaml.safe_dump(data))
@@ -293,10 +295,20 @@ def test_overridden_level_labelled_custom(tmp_path):
     assert saved["env"]["disturbance"]["object_drift_prob"] == 0.9
 
 
+#: Summary edits that keep the accounting identity but break another check.
+SUMMARY_EDITS = {
+    "summary_extra_key": lambda s: s.update(note="edited"),
+    "replan_entry_added": lambda s: s["steps_before_replan"].append(1),
+    "heavy_calls_zero": lambda s: s.update(heavy_calls=0),
+}
+
+
 @pytest.mark.parametrize("damage", ("malformed_json", "summary_missing_field",
                                     "summary_wrong_type", "summary_disagrees",
                                     "empty_file", "directory_named_jsonl", "not_utf8",
-                                    "latency_nan", "latency_bool"))
+                                    "latency_nan", "latency_bool", "summary_extra_key",
+                                    "decision_flipped", "replan_entry_added",
+                                    "heavy_calls_zero"))
 def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
     cfg = write_config(tmp_path / "cfg.yaml", {
         "verifier": {"kind": "oracle"},
@@ -322,6 +334,12 @@ def test_report_rejects_damaged_trace_file(tmp_path, capsys, damage):
         text = text.replace('"t_ctrl": 0.1', '"t_ctrl": NaN')
     elif damage == "latency_bool":
         text = text.replace('"t_ctrl": 0.1', '"t_ctrl": true')
+    elif damage == "decision_flipped":
+        text = text.replace('"accept": true', '"accept": false', 1)
+    elif damage in SUMMARY_EDITS:  # the simulated time still matches the counters
+        lines = text.splitlines(keepends=True)
+        edit_summary(lines, SUMMARY_EDITS[damage])
+        text = "".join(lines)
     if damage == "directory_named_jsonl":
         path.unlink()
         path.mkdir()

@@ -14,7 +14,7 @@ from specverify.controller import (ControllerConfig, ControllerMode, EpisodeTrac
                                    LatencyModel, _state_hash, decide, run_episodes)
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig, EnvState,
                             EpisodeConfig, Geometry, ToyEnv)
-from specverify.harness import run_batch
+from specverify.harness import read_traces, run_batch, trace_text, write_traces
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import OracleVerifier
 
@@ -259,23 +259,24 @@ class TestTraces:
     def test_replay_bitwise(self):
         def once():
             env = clean_env(seed=9, disturbance=DisturbanceConfig.moderate())
-            return run(env, "sv", chunk_size=8).to_jsonl()
+            return trace_text(run(env, "sv", chunk_size=8))
 
         assert once() == once()
 
-    def test_jsonl_round_trip(self):
+    def test_jsonl_round_trip(self, tmp_path):
         env = clean_env(seed=4, disturbance=DisturbanceConfig.moderate())
         tr = run(env, "sv", chunk_size=8)
-        *records, summary = [json.loads(line) for line in tr.to_jsonl().splitlines()]
-        kinds = [r["type"] for r in records]
-        back = EpisodeTrace.from_summary(summary, records, kinds.count("step"),
-                                         kinds.count("decision"), {})
-        assert back.to_jsonl() == tr.to_jsonl()
+        path = tmp_path / "trace.jsonl"
+        write_traces(path, [tr])
+        back, = read_traces(path)
+        assert trace_text(back) == trace_text(tr)
         assert back.simulated_inference_time == tr.simulated_inference_time
 
-    def test_missing_summary_rejected(self):
-        with pytest.raises(ValueError, match="summary record lacks"):
-            EpisodeTrace.from_summary({"type": "step", "step": 0}, [], 1, 0, {})
+    def test_missing_summary_rejected(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"type": "summary", "step": 0}\n')
+        with pytest.raises(ConfigurationError, match="summary record lacks"):
+            read_traces(path)
 
 
 #: Floats where json's spelling is least obvious: signed zeros, subnormals,
@@ -306,7 +307,7 @@ def test_record_lines_are_json_dumps(records):
     """Each record line has the bytes of ``json.dumps(r, sort_keys=True)``."""
     trace = EpisodeTrace(seed=0, mode="sv", chunk_size=4, tau=0.2, latency=LatencyModel(),
                          records=records)
-    lines = trace.to_jsonl().splitlines(keepends=True)
+    lines = trace_text(trace).splitlines(keepends=True)
     assert lines[:-1] == [json.dumps(r, sort_keys=True) + "\n" for r in records]
 
 

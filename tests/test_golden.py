@@ -13,7 +13,7 @@ import pytest
 
 from specverify.controller import run_episodes
 from specverify.env import ToyEnv
-from specverify.harness import (config_from_dict, run_batch, save_config,
+from specverify.harness import (config_from_dict, read_traces, run_batch, save_config,
                                 train_from_config, write_traces)
 from specverify.planner import make_planner
 from specverify.verifier import OracleVerifier, save_verifier
@@ -133,8 +133,12 @@ def sha256(path) -> str:
 
 
 def traces_digest(tmp_path, traces) -> str:
-    path = tmp_path / "traces.jsonl"
+    """sha256 of the written file, which must pass every check ``read_traces``
+    makes and be written back from what it reads with the same bytes."""
+    path, again = tmp_path / "traces.jsonl", tmp_path / "again.jsonl"
     write_traces(path, traces)
+    write_traces(again, read_traces(path))
+    assert again.read_bytes() == path.read_bytes()
     return sha256(path)
 
 

@@ -6,14 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specverify.cli import main
 from specverify.core import ConfigurationError
 from specverify.harness import (CSV_COLUMNS, ExperimentConfig, aggregate,
                                 config_from_dict, config_to_dict, load_config,
                                 read_traces, reference_batch, rows_to_csv, run_batch,
-                                run_sweep, save_config, write_traces)
+                                run_sweep, save_config, trace_text, write_traces)
 from specverify.controller import ControllerMode, EpisodeTrace, LatencyModel
+
+from helpers import edit_summary
 
 
 def oracle_config(**env_overrides) -> ExperimentConfig:
@@ -140,7 +144,7 @@ class TestRunBatch:
         cfg = oracle_config()
         a = run_batch(cfg)
         b = run_batch(cfg)
-        assert [t.to_jsonl() for t in a] == [t.to_jsonl() for t in b]
+        assert [trace_text(t) for t in a] == [trace_text(t) for t in b]
 
     def test_open_loop_clean_success(self):
         cfg = config_from_dict({"batch": {"episodes": 20},
@@ -229,8 +233,8 @@ class TestSweep:
         ref = references["off"]
         assert rows[0] == aggregate(direct, ref, label={
             "mode": "sv", "chunk_size": 4, "tau": 0.2, "disturbance": "off"})
-        assert [t.to_jsonl() for t in cells["sv_K4_tau0.2_off"]] == \
-            [t.to_jsonl() for t in direct]
+        assert [trace_text(t) for t in cells["sv_K4_tau0.2_off"]] == \
+            [trace_text(t) for t in direct]
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -246,15 +250,15 @@ class TestSweep:
         _, cells, references = run_sweep(cfg)
         checked = 0
         for level in cfg.sweep.disturbance_levels:
-            assert [t.to_jsonl() for t in references[level]] == \
-                [t.to_jsonl() for t in reference_batch(cfg, level)]
+            assert [trace_text(t) for t in references[level]] == \
+                [trace_text(t) for t in reference_batch(cfg, level)]
             for mode in cfg.sweep.modes:
                 for tau in cfg.sweep.taus if ControllerMode(mode).is_sv else (None,):
                     direct = run_batch(cfg, mode=mode, chunk_size=1, tau=tau,
                                        disturbance_level=level)
                     name = f"{mode}_K1" + (f"_tau{tau}" if tau else "") + f"_{level}"
-                    assert [t.to_jsonl() for t in cells[name]] == \
-                        [t.to_jsonl() for t in direct]
+                    assert [trace_text(t) for t in cells[name]] == \
+                        [trace_text(t) for t in direct]
                     checked += 1
         assert checked == sum("_K1_" in name for name in cells)
 
@@ -448,6 +452,62 @@ class TestTraceFiles:
                            match=rf"{re.escape(str(path))}:{at + 1}: {kind} record"):
             read_traces(path)
 
+    @pytest.mark.parametrize("mode,edit,named", [
+        ("sv", lambda s: s.update(note="edited"),
+         r"summary record lacks \[\], has unknown keys \['note'\]"),
+        ("sv", lambda s: s["steps_before_replan"].append(1), "summary replans is"),
+        ("verifier-only", lambda s: s.update(verifier_calls=s["verifier_calls"] - 1),
+         "summary verifier_calls is"),
+        ("open-loop", lambda s: s.update(verifier_calls=1), "summary verifier_calls is"),
+        ("sv", lambda s: s.update(heavy_calls=0), "summary heavy_calls is"),
+        ("open-loop", lambda s: s.update(heavy_calls=s["executed_steps"] + 1),
+         "summary heavy_calls is"),
+        ("verifier-only", lambda s: s.update(heavy_calls=2), "summary heavy_calls is"),
+    ], ids=("extra_key", "replan_entry_added", "verifier_only_verifier_calls",
+            "open_loop_verifier_calls", "heavy_calls_zero", "heavy_calls_above_steps",
+            "verifier_only_heavy_calls"))
+    def test_rejects_summaries_that_break_an_invariant(self, tmp_path, mode, edit, named):
+        """One edit per rule, with the simulated time kept equal to the
+        accounting identity: the summary has exactly the writer's keys, one
+        replan per ``steps_before_replan`` entry, the mode's verifier calls, and
+        heavy calls between ceil(steps / K) and the steps (one in verifier-only)."""
+        path = tmp_path / "traces.jsonl"
+        write_traces(path, run_batch(oracle_config(), mode=mode, episodes=2))
+        lines = path.read_text().splitlines(keepends=True)
+        end = edit_summary(lines, edit)
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{end + 1}: {named}"):
+            read_traces(path)
+
+    def test_rejects_decisions_against_the_rule(self, trace_file, tmp_path):
+        """In the sv modes a decision accepts iff its score is <= tau: a
+        flipped ``accept`` fails, a score equal to tau accepted passes. The
+        other modes verify nothing, so a decision record there fails."""
+        path, lines = trace_file
+        at = next(i for i, line in enumerate(lines) if '"decision"' in line)
+        end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+        decision, tau = json.loads(lines[at]), json.loads(lines[end])["tau"]
+
+        def put(lines, at, record, drop=1):
+            return "".join(lines[:at] + [json.dumps(record, sort_keys=True) + "\n"]
+                           + lines[at + drop:])
+
+        path.write_text(put(lines, at, dict(decision, accept=True, score=tau)))
+        read_traces(path)
+        path.write_text(put(lines, at, dict(decision, accept=not decision["accept"])))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(path))}:{end + 1}: decision record"):
+            read_traces(path)
+        open_loop = tmp_path / "open_loop.jsonl"
+        write_traces(open_loop, run_batch(oracle_config(), mode="open-loop", episodes=2))
+        lines = open_loop.read_text().splitlines(keepends=True)
+        end = next(i for i, line in enumerate(lines) if '"summary"' in line)
+        open_loop.write_text(put(lines, 1, decision, drop=0))  # one more line before the summary
+        with pytest.raises(ConfigurationError,
+                           match=rf"{re.escape(str(open_loop))}:{end + 2}: decision record"):
+            read_traces(open_loop)
+
     def test_latencies_written_back_as_read(self, tmp_path):
         """Traces that differ only in how a latency is spelled (1 or 1.0,
         0.0 or -0.0) keep their spelling through a read and a write."""
@@ -466,6 +526,51 @@ class TestTraceFiles:
     def test_accepts_the_lines_json_loads_accepts(self, trace_file):
         """Whitespace around a record, which json.loads skips, changes nothing."""
         path, lines = trace_file
-        want = [t.to_jsonl() for t in read_traces(path)]
+        want = [trace_text(t) for t in read_traces(path)]
         path.write_text("".join(f" \t{line[:-1]} \n" for line in lines))
-        assert [t.to_jsonl() for t in read_traces(path)] == want
+        assert [trace_text(t) for t in read_traces(path)] == want
+
+
+def _damaged(text: str, edit: str, at: int) -> str:
+    """``text`` with one edit at line (or byte) ``at``, wrapped to its size."""
+    lines = text.splitlines(keepends=True)
+    i = at % len(lines)
+    if edit == "truncate":
+        return text[:at % len(text)]
+    if edit == "drop_line":
+        return "".join(lines[:i] + lines[i + 1:])
+    if edit == "duplicate_line":
+        return "".join(lines[:i + 1] + lines[i:])
+    if edit == "swap_lines":
+        i = at % (len(lines) - 1)
+        return "".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:])
+    record = json.loads(lines[i])  # drop_key
+    del record[sorted(record)[at % len(record)]]
+    return "".join(lines[:i] + [json.dumps(record, sort_keys=True) + "\n"] + lines[i + 1:])
+
+
+@settings(max_examples=80, deadline=None)
+@example(seed=0, mode="sv", k=4, level="off", edit="truncate", at=-1)  # cut the final newline
+@given(seed=st.integers(0, 2**16), mode=st.sampled_from([m.value for m in ControllerMode]),
+       k=st.sampled_from([1, 2, 4, 16]), level=st.sampled_from(["off", "moderate"]),
+       edit=st.sampled_from(["truncate", "drop_line", "duplicate_line", "swap_lines",
+                             "drop_key"]),
+       at=st.integers(0, 2**16))
+def test_damaged_file_rejected_or_written_back_as_damaged(tmp_path_factory, seed, mode, k,
+                                                          level, edit, at):
+    """One edit to a written trace file: ``read_traces`` names the file in a
+    ConfigurationError, or returns traces that write back to the damaged
+    bytes. Any other exception fails the test."""
+    cfg = config_from_dict({"verifier": {"kind": "oracle"}, "batch": {"base_seed": seed},
+                            "env": {"horizon": 12, "disturbance": {"level": level}}})
+    path = tmp_path_factory.mktemp("damage") / "traces.jsonl"
+    write_traces(path, run_batch(cfg, mode=mode, chunk_size=k, episodes=2))
+    damaged = _damaged(path.read_text(), edit, at)
+    path.write_text(damaged)
+    try:
+        traces = read_traces(path)
+    except ConfigurationError as exc:
+        assert str(exc).startswith(str(path))
+    else:
+        write_traces(path, traces)
+        assert path.read_text() == damaged
