@@ -16,7 +16,7 @@ from specverify.env import ToyEnv
 from specverify.harness import (config_from_dict, read_traces, run_batch, save_config,
                                 train_from_config, write_traces)
 from specverify.planner import make_planner
-from specverify.verifier import OracleVerifier, save_verifier
+from specverify.verifier import OracleVerifier, build_training_set, save_verifier
 
 MODES = ("sv", "open-loop", "verifier-only", "sv-without-context",
          "sv-without-observation")
@@ -105,6 +105,14 @@ VERIFIER_JSON_DIGEST = (
 LOSS_CURVE_DIGEST = (
     "729d4e920ca46e3e541097e999280064eaf20759f9b913c63507977abaaa8758")
 
+#: float64 bytes of the observation, context and target columns of
+#: ``build_training_set`` under moderate disturbance at K=4 (10 episodes from
+#: seed 0), keyed by ``boundaries``.
+SAMPLES_DIGESTS = {
+    "all": "c9c7f1ffcdcecf052f8eb54d20e6fb1cfc2328f52fd08abad5de096f76993495",
+    "first": "c95884e8a1e0db3a9ee2a4e5ed887d9068bf49ad30bdb3332828320a3ed535eb",
+}
+
 #: ``save_config`` output (the ``config_used.yaml`` of a run) for four valid
 #: configs, each given as the mapping a YAML file would hold.
 CONFIG_FILES = {
@@ -192,6 +200,20 @@ def test_loss_curve_digest():
     assert len(report.losses) == 41
     losses = np.asarray(report.losses, dtype=np.float64)
     assert hashlib.sha256(losses.tobytes()).hexdigest() == LOSS_CURVE_DIGEST
+
+
+@pytest.mark.parametrize("boundaries", sorted(SAMPLES_DIGESTS))
+def test_training_samples_digest(boundaries):
+    cfg = config_from_dict({"env": {"disturbance": {"level": "moderate"}}})
+    planner = make_planner(cfg.planner.kind, cfg.env.geometry, 4, cfg.planner.context_width)
+    samples = build_training_set(cfg.env.episode_config(), planner, episodes=10, seed=0,
+                                 boundaries=boundaries)
+    digest = hashlib.sha256()
+    for column in zip(*samples):
+        array = np.stack(column)
+        assert array.dtype == np.float64
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == SAMPLES_DIGESTS[boundaries]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_FILES))
