@@ -11,7 +11,7 @@ from .core import (ActionSpace, ConfigurationError, ContractViolation,
 from .controller import (ControllerConfig, ControllerMode, Decision, EpisodeTrace,
                          LatencyModel, decide, run_episodes)
 from .env import (DisturbanceConfig, EnvState, EpisodeConfig, Geometry, ToyEnv,
-                  expert_action, is_success, render_observation, transition)
+                  expert_action, is_success, transition)
 from .planner import NominalRolloutPlanner, PlannerOutput, make_planner
 from .verifier import (ObservationEncoder, OracleVerifier, TrainedVerifier,
                        TrainReport, VerifierParams, build_training_set,

@@ -122,11 +122,6 @@ def render_observations(states) -> np.ndarray:
     return np.array(flat).reshape(-1, OBS_DIM)
 
 
-def render_observation(state: EnvState) -> np.ndarray:
-    """Deterministic feature-vector rendering of one state."""
-    return render_observations((state,))[0]
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """np.clip of one float, signed zeros and NaN included."""
     return lo if v < lo else hi if v > hi else v

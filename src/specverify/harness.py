@@ -513,11 +513,12 @@ def _closed_episode(summary: dict, records: list, latencies: dict) -> EpisodeTra
 
     The summary must have exactly the writer's keys, each holding what the
     engine writes there (``_SUMMARY``; tau in (0, 1) in the sv modes, null in
-    the others). Then the paper's invariants are re-checked: each decision
-    accepts iff its score is <= tau (sv modes; other modes have no
-    decisions), the step count and verifier calls agree with the records and
-    the mode, one replan per ``steps_before_replan`` entry, heavy calls within
-    the chunk bounds, and the simulated time equals the accounting identity.
+    the others). Then the paper's invariants are re-checked: each record's
+    step counts the step records before it, each decision accepts iff its
+    score is <= tau (sv modes; other modes have no decisions), the step count
+    and verifier calls agree with the records and the mode, one replan per
+    ``steps_before_replan`` entry, heavy calls within the chunk bounds, and the
+    simulated time equals the accounting identity.
 
     ``latencies`` holds one LatencyModel per distinct latency triple for the
     traces read together. Its key is the triple's reprs, so 1 and 1.0, or 0.0
@@ -534,7 +535,11 @@ def _closed_episode(summary: dict, records: list, latencies: dict) -> EpisodeTra
     if not (type(tau) is float and 0.0 < tau < 1.0 if sv else tau is None):
         raise ConfigurationError(f"summary tau: expected {'a float in (0, 1)' if sv else 'null'} "
                                  f"in mode {mode.value}, got {tau!r}")
-    decisions = [r for r in records if r["type"] == "decision"]
+    decisions, steps = [r for r in records if r["type"] == "decision"], 0
+    for n, r in enumerate(records):
+        if r["step"] != steps:
+            raise ConfigurationError(f"record {n} of the episode has step {r['step']}, not {steps}")
+        steps += r["type"] == "step"
     broken = [r["step"] for r in decisions if not sv or r["accept"] is not (r["score"] <= tau)]
     if broken:
         raise ConfigurationError(f"decision records at steps {broken} break the rule "
@@ -543,7 +548,6 @@ def _closed_episode(summary: dict, records: list, latencies: dict) -> EpisodeTra
     if (latency := latencies.get(key)) is None:
         latency = latencies[key] = LatencyModel(**{k: summary[k] for k in _LATENCY})
     trace = EpisodeTrace(latency=latency, records=records, **{k: summary[k] for k in _SUMMARY})
-    steps = len(records) - len(decisions)
     checks = {"executed_steps": steps,
               "verifier_calls": len(decisions) if sv else steps - 1 if verifier_only else 0,
               "replans": len(trace.steps_before_replan),

@@ -32,8 +32,6 @@ class PlannerOutput:
 class NominalRolloutPlanner:
     """Rolls the expert policy forward under disturbance-free dynamics."""
 
-    kind = "nominal-rollout"
-
     def __init__(self, geometry: Geometry, chunk_size: int, context_width: int = 16):
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size: must be >= 1, got {chunk_size}")

@@ -3,8 +3,10 @@ context, and predict a closed-loop reference action.
 
 The observation encoder is a frozen random-feature map (affine + tanh) and is
 never touched by training; only the fusion layer and the prediction head are
-trainable. Training minimizes mean L1 loss against expert actions with plain
-mini-batch gradient descent (subgradient 0 at ties).
+trainable. Training samples are taken at the verification requests of the
+controller's episode loop, with the oracle's reference (the expert action at
+the true state) as the target; training minimizes mean L1 loss against it
+with plain mini-batch gradient descent (subgradient 0 at ties).
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSpace, ConfigurationError
-from .env import EpisodeConfig, ToyEnv, expert_action, render_observation
+from .controller import ControllerMode, Decision, EpisodeTrace, LatencyModel, _advance, _episode
+from .env import EpisodeConfig, ToyEnv, expert_action, render_observations
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -199,30 +202,28 @@ def train_verifier(samples, encoder: ObservationEncoder, *, epochs: int = 150,
 
 def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
                        boundaries: str = "all"):
-    """Collect (observation, context, expert target) triples from open-loop runs.
+    """Collect (observation, context, target) triples at the verification
+    requests of open-loop runs.
 
-    Chunks execute fully open-loop under the configured disturbances; at each
-    within-chunk step t in 1..K-1 the pre-step observation is paired with the
-    chunk's context and the expert action at the true current state. With
-    boundaries="first" only each episode's first chunk contributes samples.
+    Episodes run one after another through the controller's episode loop in
+    mode sv, with every request accepted, so chunks execute fully open-loop
+    under the configured disturbances. Each request, made before each
+    within-chunk step t in 1..K-1, is one sample: the observation of the true
+    state, the chunk's context, and the oracle's reference at that state as
+    the target. With boundaries="first" only the requests of each episode's
+    first chunk (its first heavy call) are taken.
     """
-    geom = config.geometry
-    samples = []
+    accept, latency, contexts, states = Decision(True, 0.0), LatencyModel(), [], []
     for env in ToyEnv.batch(config, range(seed, seed + episodes)):
-        env.reset()
-        while env.state.step < config.horizon and not env.success():
-            out = planner.plan(env.state, max_len=config.horizon - env.state.step)
-            for i, action in enumerate(out.chunk):
-                if env.success():
-                    break
-                if i >= 1:
-                    state = env.state
-                    samples.append((render_observation(state), out.context,
-                                    np.array(expert_action(state, geom))))
-                env.step(action)
-            if boundaries == "first":
-                break
-    return samples
+        trace = EpisodeTrace(env.seed, ControllerMode.SV.value, planner.chunk_size, None, latency)
+        episode = _episode(env, planner, ControllerMode.SV, 0, trace)  # the guard is never read
+        request = _advance(episode)
+        while request is not None and (boundaries == "all" or trace.heavy_calls == 1):
+            contexts.append(request[0])
+            states.append(request[1])
+            request = _advance(episode, accept)
+    targets = OracleVerifier(config.geometry).reference(None, None, true_state=states)
+    return list(zip(render_observations(states), contexts, targets))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, OBS_DIM,
                             DisturbanceConfig, EnvState, EpisodeConfig,
                             Geometry, ToyEnv, _generators, _stream_words,
-                            expert_action, is_success, render_observation,
+                            expert_action, is_success, render_observations,
                             transition)
 
 
@@ -55,7 +55,7 @@ class TestConfigs:
 class TestObservation:
     def test_layout(self, geometry):
         state = make_state([0.5, 0.25], [1.0, 1.5], [0.1, 0.2])
-        obs = render_observation(state)
+        obs = render_observations((state,))[0]
         assert obs.shape == (OBS_DIM,)
         np.testing.assert_allclose(obs, [0.5, 0.25, 1.0, 1.5, 0.5, 1.25, 0.0])
 
@@ -63,7 +63,8 @@ class TestObservation:
         """Two states differing only in goal render to identical observations."""
         s1 = make_state([0.5, 0.5], [1.0, 1.0], [0.2, 0.2])
         s2 = make_state([0.5, 0.5], [1.0, 1.0], [1.8, 1.8])
-        np.testing.assert_array_equal(render_observation(s1), render_observation(s2))
+        np.testing.assert_array_equal(render_observations((s1,))[0],
+                                      render_observations((s2,))[0])
 
 
 class TestSuccessAndExpert:

@@ -560,17 +560,20 @@ def test_damaged_file_rejected_or_written_back_as_damaged(tmp_path_factory, seed
                                                           level, edit, at):
     """One edit to a written trace file: ``read_traces`` names the file in a
     ConfigurationError, or returns traces that write back to the damaged
-    bytes. Any other exception fails the test."""
+    bytes. A swap of two different adjacent lines always raises. Any other
+    exception fails the test."""
     cfg = config_from_dict({"verifier": {"kind": "oracle"}, "batch": {"base_seed": seed},
                             "env": {"horizon": 12, "disturbance": {"level": level}}})
     path = tmp_path_factory.mktemp("damage") / "traces.jsonl"
     write_traces(path, run_batch(cfg, mode=mode, chunk_size=k, episodes=2))
-    damaged = _damaged(path.read_text(), edit, at)
+    text = path.read_text()
+    damaged = _damaged(text, edit, at)
     path.write_text(damaged)
     try:
         traces = read_traces(path)
     except ConfigurationError as exc:
         assert str(exc).startswith(str(path))
     else:
+        assert edit != "swap_lines" or damaged == text
         write_traces(path, traces)
         assert path.read_text() == damaged

@@ -1,6 +1,7 @@
 """Import hygiene: every module-level import in the package and the tests is
 used, every module-level function and class of the package is used by the
-package itself, and importing the CLI loads no more of numpy than it needs.
+package itself, only the controller plans chunks and steps envs, and importing
+the CLI loads no more of numpy than it needs.
 
 No linter ships with the toolchain, so these AST scans stand in for one. The
 package's ``__init__.py`` is exempt: its imports are the public re-exports.
@@ -67,6 +68,24 @@ def test_package_definitions_are_used():
     """A function or class only the tests call is test code: it belongs in the
     tests, or nowhere."""
     assert unused_definitions({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def rollout_calls(source: str) -> list:
+    """Lines that call an attribute named ``plan`` or ``step``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("plan", "step")]
+
+
+def test_scan_finds_a_rollout_call():
+    assert rollout_calls("out = planner.plan(s)\nn = env.state.step\nenv.step(a)\n") == [1, 3]
+
+
+def test_one_rollout_loop():
+    """Only the controller's episode loop plans chunks and steps envs; the
+    training collection and the harness drive episodes through it."""
+    calls = {p.stem: lines for p in PACKAGE if (lines := rollout_calls(p.read_text()))}
+    assert calls.keys() == {"controller"}
 
 
 def test_importing_the_cli_loads_no_numpy_random():

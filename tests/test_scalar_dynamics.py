@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from specverify.controller import _state_hash
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig,
                             EnvState, EpisodeConfig, Geometry, ToyEnv, _excess,
-                            expert_action, is_success, render_observation,
+                            expert_action, is_success, render_observations,
                             transition)
 from specverify.planner import NominalRolloutPlanner
 
@@ -215,7 +215,7 @@ class TestMatchesArrayFormulas:
     @given(env_states(), st.sampled_from([1, 4, 16]), st.sampled_from([12, 16, 20]))
     def test_plan_chunk_and_context(self, state, chunk_size, context_width):
         out = NominalRolloutPlanner(GEOM, chunk_size, context_width).plan(state)
-        chunk, context = np_plan(render_observation(state), state.goal_pos,
+        chunk, context = np_plan(render_observations((state,))[0], state.goal_pos,
                                  chunk_size, context_width)
         assert all(type(a) is tuple and len(a) == 3 and all(type(v) is float for v in a)
                    for a in out.chunk)

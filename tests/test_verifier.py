@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specverify.controller import ControllerConfig, run_episodes
 from specverify.core import ConfigurationError
-from specverify.env import OBS_DIM, EpisodeConfig, ToyEnv, expert_action
+from specverify.env import OBS_DIM, DisturbanceConfig, EpisodeConfig, ToyEnv, expert_action
 from specverify.planner import NominalRolloutPlanner
 from specverify.verifier import (ObservationEncoder, OracleVerifier,
                                  TrainedVerifier, VerifierParams, _fused,
@@ -187,6 +188,25 @@ class TestDataset:
         cfg = EpisodeConfig(horizon=40, geometry=geometry)
         samples = build_training_set(cfg, planner, episodes=1, seed=0)
         assert len(samples) < 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 16), horizon=st.integers(1, 40),
+           level=st.sampled_from(["off", "moderate"]), seed=st.integers(0, 2**16),
+           episodes=st.integers(1, 4))
+    def test_collection_equals_an_open_loop_batch(self, geometry, k, horizon, level, seed,
+                                                  episodes):
+        """Every executed action after a chunk's head is one sample, as in an
+        open-loop batch on the same seeds; with boundaries="first", those of
+        each episode's first chunk."""
+        cfg = EpisodeConfig(horizon=horizon, geometry=geometry,
+                            disturbance=DisturbanceConfig.from_level(level))
+        planner = NominalRolloutPlanner(geometry, chunk_size=k)
+        traces = run_episodes(ToyEnv.batch(cfg, range(seed, seed + episodes)), planner, None,
+                              ControllerConfig(mode="open-loop"))
+        samples = build_training_set(cfg, planner, episodes, seed)
+        first = build_training_set(cfg, planner, episodes, seed, boundaries="first")
+        assert len(samples) == sum(t.executed_steps - t.heavy_calls for t in traces)
+        assert len(first) == sum(t.completed_chunk_lengths[0] - 1 for t in traces)
 
     def test_targets_are_expert_actions(self, geometry, clean_samples):
         for s in clean_samples[:40]:
