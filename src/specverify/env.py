@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionSpace, ConfigurationError
+from .core import ActionSpace, ConfigurationError, named
 
 GRIPPER_OPEN = 0
 GRIPPER_HOLDING = 1
@@ -98,10 +98,19 @@ class EpisodeConfig:
     horizon: int = 40
     geometry: Geometry = field(default_factory=Geometry)
     disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
+    disturbance_level: str | None = None  # the named level the disturbance equals
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigurationError(f"horizon: must be >= 1, got {self.horizon}")
+        # A level names the disturbance only while it equals that level's fields.
+        if self.disturbance_level is not None and self.disturbance != named(
+                "disturbance_level", DisturbanceConfig.from_level, self.disturbance_level):
+            object.__setattr__(self, "disturbance_level", None)
+
+    def episode_config(self, disturbance: DisturbanceConfig | None = None) -> "EpisodeConfig":
+        """This config, or a copy under ``disturbance``."""
+        return self if disturbance is None else replace(self, disturbance=disturbance)
 
 
 class EnvState(NamedTuple):
@@ -127,14 +136,28 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
+def squared_distance(dx: float, dy: float) -> float:
+    """``fma(dy, dy, dx*dx)``, the 2-element ``ddot`` of ``np.linalg.norm``
+    under OpenBLAS's ``SkylakeX`` kernel, without BLAS, so every host gets its
+    bits: Dekker's split makes ``p + err == dy*dy`` exactly unless it
+    underflows, and ``math.fsum`` rounds once. Sums beyond 1e300 add plainly."""
+    xx, p = dx * dx, dy * dy
+    if not xx + p < 1e300:
+        return xx + p
+    c = 134217729.0 * dy  # 2**27 + 1
+    hi = c - (c - dy)
+    lo = dy - hi
+    return math.fsum((xx, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
+
+
 def _excess(dx: float, dy: float, radius: float) -> float:
-    """A float with the sign of ``np.linalg.norm([dx, dy]) - radius``. numpy's
-    norm fuses a multiply-add, so it can differ from ``sqrt(dx*dx + dy*dy)`` in
-    the last bit; within rounding of the radius, numpy decides."""
+    """A float with the sign of ``sqrt(squared_distance(dx, dy)) - radius``.
+    The plain ``dx*dx + dy*dy`` can differ from that in the last bit, so
+    within rounding of the radius the exact formula decides."""
     d2, r2 = dx * dx + dy * dy, radius * radius
     if abs(d2 - r2) > 1e-9 * r2:
         return d2 - r2
-    return float(np.linalg.norm([dx, dy])) - radius
+    return math.sqrt(squared_distance(dx, dy)) - radius
 
 
 def is_success(state: EnvState, geom: Geometry) -> bool:
@@ -143,30 +166,59 @@ def is_success(state: EnvState, geom: Geometry) -> bool:
     return gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, geom.success_radius) <= 0.0
 
 
-def expert_action(state: EnvState, geom: Geometry) -> tuple:
-    """Phase-appropriate greedy action: approach, grasp, carry, release.
+def nominal_rollout(state: EnvState, geom: Geometry, length: int) -> tuple:
+    """``(actions, end_state)``: the expert policy's one definition, rolled
+    out ``length`` steps from ``state`` under disturbance-free dynamics.
 
-    Deterministic function of the state, as a (dx, dy, grasp) float triple;
-    each movement component is clamped to the per-step bound, so the agent
-    lands exactly on targets in the disturbance-free environment.
-    """
-    (ax, ay), (ox, oy), (gx, gy), gripper, _ = state
-    if gripper == GRIPPER_HOLDING:
-        tx, ty, radius = gx, gy, geom.success_radius
-    elif gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, geom.success_radius) <= 0.0:
-        return (0.0, 0.0, 0.0)  # is_success: stay
-    else:
-        tx, ty, radius = ox, oy, geom.grasp_radius
-    if _excess(tx - ax, ty - ay, radius) <= 0.0:
-        return (0.0, 0.0, 1.0)  # release at the goal, grasp at the object
-    b = geom.step_bound
-    return (_clip(tx - ax, -b, b), _clip(ty - ay, -b, b), 0.0)
+    The expert approaches, grasps, carries, releases, then stays; each action
+    is a (dx, dy, grasp) float triple whose move is clamped to the step bound,
+    so the agent lands exactly on targets. Each step is ``transition`` without
+    draws on local floats, building no state tuple; the tests hold the two
+    together bit for bit."""
+    # A config may give ints; an action holds floats, as the trace writes them.
+    bound, wall = float(geom.step_bound), float(geom.world_size)
+    grasp_radius, success_radius = geom.grasp_radius, geom.success_radius
+    (ax, ay), (ox, oy), goal, gripper, step = state
+    gx, gy = goal
+    actions = []
+    for _ in range(length):
+        if gripper == GRIPPER_HOLDING:
+            tx, ty, radius = gx, gy, success_radius
+        elif gripper == GRIPPER_OPEN and _excess(ox - gx, oy - gy, success_radius) <= 0.0:
+            # Solved: the expert stays. A stay step only clips the agent
+            # (turning -0.0 into 0.0), and a second clip moves no bit, so
+            # the rest of the rollout stays too.
+            actions += [(0.0, 0.0, 0.0)] * (length - len(actions))
+            ax, ay = _clip(ax + 0.0, 0.0, wall), _clip(ay + 0.0, 0.0, wall)
+            break
+        else:
+            tx, ty, radius = ox, oy, grasp_radius
+        if _excess(tx - ax, ty - ay, radius) <= 0.0:  # release at the goal, grasp at the object
+            action = (0.0, 0.0, 1.0)
+        else:
+            action = (_clip(tx - ax, -bound, bound), _clip(ty - ay, -bound, bound), 0.0)
+        actions.append(action)
+        dx, dy, grasp = action
+        ax, ay = _clip(ax + dx, 0.0, wall), _clip(ay + dy, 0.0, wall)
+        if gripper == GRIPPER_HOLDING:
+            ox, oy = ax, ay
+        if grasp > 0.5:
+            if gripper == GRIPPER_HOLDING:
+                gripper = GRIPPER_OPEN
+            elif _excess(ax - ox, ay - oy, grasp_radius) <= 0.0:
+                ox, oy, gripper = ax, ay, GRIPPER_HOLDING
+    return tuple(actions), EnvState((ax, ay), (ox, oy), goal, gripper, step + length)
+
+
+def expert_action(state: EnvState, geom: Geometry) -> tuple:
+    """The expert's action at ``state``: the first of ``nominal_rollout``'s."""
+    return nominal_rollout(state, geom, 1)[0][0]
 
 
 def transition(state: EnvState, action, geom: Geometry, noise=None,
                grasp_ok=None, drift=None) -> EnvState:
-    """One control step; without disturbance draws, the nominal dynamics that
-    ``NominalRolloutPlanner.plan`` repeats on local floats.
+    """One control step, with the environment's disturbance draws;
+    ``nominal_rollout`` writes the same move without them.
 
     The environment passes its draws: ``noise`` is added to the move,
     ``grasp_ok()`` is called only on a grasp attempt within reach (so the grasp

@@ -138,28 +138,9 @@ class ReferenceConfig:
 
 
 @dataclass(frozen=True)
-class EnvSection:
-    horizon: int = 40
-    geometry: Geometry = field(default_factory=Geometry)
-    disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
-    disturbance_level: str | None = None
-
-    def __post_init__(self):
-        self.episode_config()  # checks the horizon
-        # A level names the disturbance only while it equals that level's fields.
-        if self.disturbance_level is not None and self.disturbance != named(
-                "disturbance_level", DisturbanceConfig.from_level, self.disturbance_level):
-            object.__setattr__(self, "disturbance_level", None)
-
-    def episode_config(self, disturbance: DisturbanceConfig | None = None) -> EpisodeConfig:
-        return EpisodeConfig(horizon=self.horizon, geometry=self.geometry,
-                             disturbance=disturbance or self.disturbance)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     version: int = CONFIG_VERSION
-    env: EnvSection = field(default_factory=EnvSection)
+    env: EpisodeConfig = field(default_factory=EpisodeConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -210,7 +191,7 @@ def _apply(section, data, path: str):
         raise ConfigurationError(f"{path or 'config root'}: expected a mapping, got {data!r}")
     data = dict(data or {})  # an empty YAML section reads as None
     hints = get_type_hints(type(section))
-    if isinstance(section, EnvSection):  # these two fields have no key of their own
+    if isinstance(section, EpisodeConfig):  # these two fields have no key of their own
         section = _apply_env_spelling(section, data, path)
         del hints["geometry"], hints["disturbance_level"]
     changes = {}
@@ -228,13 +209,13 @@ def _apply(section, data, path: str):
 
 
 # The two places where the YAML spelling of ``env`` is not one-to-one with
-# EnvSection: Geometry's fields sit directly under ``env``, and
+# EpisodeConfig: Geometry's fields sit directly under ``env``, and
 # ``env.disturbance.level`` is stored as ``disturbance_level`` and seeds the
 # disturbance fields, which the explicit ones then override.
 _GEOMETRY_KEYS = frozenset(f.name for f in fields(Geometry))
 
 
-def _apply_env_spelling(env: EnvSection, data: dict, path: str) -> EnvSection:
+def _apply_env_spelling(env: EpisodeConfig, data: dict, path: str) -> EpisodeConfig:
     """Apply, and remove from ``data``, the geometry keys and the level."""
     geometry = {k: data.pop(k) for k in _GEOMETRY_KEYS & data.keys()}
     env = replace(env, geometry=_apply(env.geometry, geometry, path))
@@ -255,7 +236,7 @@ def config_to_dict(value):
     if not is_dataclass(value):
         return list(value) if isinstance(value, tuple) else value
     data = {f.name: config_to_dict(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, EnvSection):
+    if isinstance(value, EpisodeConfig):
         data.update(data.pop("geometry"))
         data["disturbance"]["level"] = data.pop("disturbance_level")
     return data

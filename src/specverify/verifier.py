@@ -211,17 +211,22 @@ def build_training_set(config: EpisodeConfig, planner, episodes: int, seed: int,
     within-chunk step t in 1..K-1, is one sample: the observation of the true
     state, the chunk's context, and the oracle's reference at that state as
     the target. With boundaries="first" only the requests of each episode's
-    first chunk (its first heavy call) are taken.
+    first chunk are taken: at most K-1, after which the episode is dropped,
+    so the planner runs once per episode (never at K=1).
     """
+    # An episode makes fewer requests than its horizon has steps.
+    limit = planner.chunk_size - 1 if boundaries == "first" else config.horizon
     accept, latency, contexts, states = Decision(True, 0.0), LatencyModel(), [], []
     for env in ToyEnv.batch(config, range(seed, seed + episodes)):
         trace = EpisodeTrace(env.seed, ControllerMode.SV.value, planner.chunk_size, None, latency)
         episode = _episode(env, planner, ControllerMode.SV, 0, trace)  # the guard is never read
-        request = _advance(episode)
-        while request is not None and (boundaries == "all" or trace.heavy_calls == 1):
+        answer = None
+        for _ in range(limit):
+            if (request := _advance(episode, answer)) is None:
+                break
             contexts.append(request[0])
             states.append(request[1])
-            request = _advance(episode, accept)
+            answer = accept
     targets = OracleVerifier(config.geometry).reference(None, None, true_state=states)
     return list(zip(render_observations(states), contexts, targets))
 

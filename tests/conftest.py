@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from specverify.env import OBS_DIM, DisturbanceConfig, Geometry
-from specverify.harness import ExperimentConfig, EnvSection, build_verifier
+from specverify.env import OBS_DIM, DisturbanceConfig, EpisodeConfig, Geometry
+from specverify.harness import ExperimentConfig, build_verifier
 from specverify.verifier import ObservationEncoder, VerifierParams, save_verifier
 
 
@@ -21,9 +21,9 @@ def geometry():
 def moderate_config():
     """Default experiment config with moderate disturbances enabled."""
     base = ExperimentConfig()
-    env = EnvSection(horizon=base.env.horizon, geometry=base.env.geometry,
-                     disturbance=DisturbanceConfig.moderate(),
-                     disturbance_level="moderate")
+    env = EpisodeConfig(horizon=base.env.horizon, geometry=base.env.geometry,
+                        disturbance=DisturbanceConfig.moderate(),
+                        disturbance_level="moderate")
     return ExperimentConfig(env=env, planner=base.planner, verifier=base.verifier,
                             controller=base.controller, batch=base.batch,
                             sweep=base.sweep, reference=base.reference)

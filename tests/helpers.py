@@ -1,7 +1,9 @@
 """Test helpers: verifier parameters as one flat vector, for finite-difference
-gradient checks, the cost bounds the latency model implies, and one edit to a
-trace file's summary."""
+gradient checks, the cost bounds the latency model implies, one edit to a
+trace file's summary, and the name of the BLAS kernel in use."""
+import ctypes
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -43,3 +45,16 @@ def edit_summary(lines: list, edit) -> int:
                                            + summary["verifier_calls"] * summary["t_verify"])
     lines[end] = json.dumps(summary, sort_keys=True) + "\n"
     return end
+
+
+def blas_core_name():
+    """The kernel OpenBLAS chose in this process (``SkylakeX``, ``Haswell``, ...),
+    or None when numpy's OpenBLAS cannot name it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None

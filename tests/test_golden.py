@@ -1,12 +1,19 @@
 """Golden digests: sha256 of trace files and trained parameters.
 
 A refactor that keeps every float operation and every RNG draw in order leaves
-these bytes unchanged. The digests depend on the numpy/BLAS build that
-computed them, as the bench's trained-file check does. Changing a digest
-changes a check: say which one changed and why in CHANGES.md.
+these bytes unchanged. The oracle traces, the training samples and the configs
+compute nothing through BLAS, and one test checks them under a second OpenBLAS
+kernel. The trained traces, ``verifier.json`` and the loss curve go through
+matrix products, whose bits depend on the kernel OpenBLAS picks for the CPU;
+they were recorded under ``SkylakeX``, as the bench's trained-file check was.
+Changing a digest changes a check: say which one changed and why in CHANGES.md.
 """
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,8 @@ from specverify.harness import (config_from_dict, read_traces, run_batch, save_c
                                 train_from_config, write_traces)
 from specverify.planner import make_planner
 from specverify.verifier import OracleVerifier, build_training_set, save_verifier
+
+from helpers import blas_core_name
 
 MODES = ("sv", "open-loop", "verifier-only", "sv-without-context",
          "sv-without-observation")
@@ -136,6 +145,11 @@ CONFIG_FILES = {
 }
 
 
+def gemm_note() -> str:
+    return (f"this digest goes through BLAS matrix products and was recorded under "
+            f"OpenBLAS's SkylakeX kernel; this process runs {blas_core_name()}")
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -165,7 +179,7 @@ def test_oracle_trace_digest(tmp_path, mode, k, level):
 def test_trained_trace_digest(tmp_path, moderate_config, trained_verifier, mode):
     traces = run_batch(moderate_config, mode=mode, verifier=trained_verifier,
                        episodes=TRAINED_EPISODES)
-    assert traces_digest(tmp_path, traces) == TRAINED_DIGESTS[mode]
+    assert traces_digest(tmp_path, traces) == TRAINED_DIGESTS[mode], gemm_note()
 
 
 @pytest.mark.parametrize("verifier_kind", ("oracle", "trained"))
@@ -190,7 +204,7 @@ def test_batch_matches_episodes_run_alone(tmp_path, moderate_config, trained_ver
 def test_trained_parameter_file_digest(tmp_path, trained_verifier):
     path = tmp_path / "verifier.json"
     save_verifier(path, trained_verifier.encoder, trained_verifier.params)
-    assert sha256(path) == VERIFIER_JSON_DIGEST
+    assert sha256(path) == VERIFIER_JSON_DIGEST, gemm_note()
 
 
 def test_loss_curve_digest():
@@ -199,7 +213,7 @@ def test_loss_curve_digest():
     report, _ = train_from_config(cfg)
     assert len(report.losses) == 41
     losses = np.asarray(report.losses, dtype=np.float64)
-    assert hashlib.sha256(losses.tobytes()).hexdigest() == LOSS_CURVE_DIGEST
+    assert hashlib.sha256(losses.tobytes()).hexdigest() == LOSS_CURVE_DIGEST, gemm_note()
 
 
 @pytest.mark.parametrize("boundaries", sorted(SAMPLES_DIGESTS))
@@ -222,3 +236,32 @@ def test_config_file_digest(tmp_path, name):
     path = tmp_path / "config_used.yaml"
     save_config(config_from_dict(data), path)
     assert sha256(path) == digest
+
+
+#: Exit status of the child below when OpenBLAS did not take the Haswell kernel.
+NOT_HASWELL = 10
+
+
+def test_digests_without_gemm_hold_under_haswell():
+    """The oracle traces, the training samples and the configs keep their
+    digests under the ``Haswell`` kernel, which a CPU without AVX-512 gets:
+    one child process runs those tests with ``OPENBLAS_CORETYPE=Haswell``."""
+    if blas_core_name() is None:
+        pytest.skip("numpy's OpenBLAS cannot name its kernel")
+    root = Path(__file__).resolve().parent.parent
+    args = ["-q", "-p", "no:cacheprovider", str(Path(__file__).resolve()), "-k",
+            "oracle_trace_digest or training_samples_digest or config_file_digest"]
+    child = (f"import sys\nfrom helpers import blas_core_name\n"
+             f"if blas_core_name() != 'Haswell':\n    sys.exit({NOT_HASWELL})\n"
+             f"import pytest\nsys.exit(pytest.main({args!r}))\n")
+    pythonpath = os.pathsep.join(filter(None, (str(root / "src"), str(root / "tests"),
+                                               os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", child], cwd=root, capture_output=True,
+                         text=True, timeout=600,
+                         env={**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+                              "PYTHONPATH": pythonpath})
+    if run.returncode == NOT_HASWELL:
+        pytest.skip("OpenBLAS did not take the Haswell kernel on this CPU")
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    ran = len(ORACLE_DIGESTS) + len(SAMPLES_DIGESTS) + len(CONFIG_FILES)
+    assert f"\n{ran} passed," in run.stdout, run.stdout[-3000:]

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
+from specverify import env as env_module
 from specverify.core import ConfigurationError
 from specverify.env import (GRIPPER_HOLDING, EnvState, EpisodeConfig, Geometry,
-                            ToyEnv, _excess, transition)
-from specverify import planner as planner_module
+                            ToyEnv, _excess, nominal_rollout, transition)
 from specverify.planner import NominalRolloutPlanner, make_planner
 
 
@@ -105,10 +105,10 @@ class TestPlanning:
         success radius once, so rolling out the whole chunk would make 16
         radius tests."""
         calls = []
-        monkeypatch.setattr(planner_module, "_excess",
+        monkeypatch.setattr(env_module, "_excess",
                             lambda *args: calls.append(args) or _excess(*args))
         state = EnvState(agent_pos=(agent_x, 1.0), object_pos=(1.5, 1.5),
                          goal_pos=(1.5, 1.5), gripper=0, step=0)
-        out = NominalRolloutPlanner(geometry, chunk_size=16).plan(state)
+        chunk, _ = nominal_rollout(state, geometry, 16)
         assert len(calls) == 1
-        assert out.chunk == ((0.0, 0.0, 0.0),) * 16
+        assert chunk == ((0.0, 0.0, 0.0),) * 16

@@ -4,12 +4,16 @@ The env and the nominal planner run on Python floats. These properties hold
 ``transition``, ``expert_action``, ``is_success`` and ``plan`` bit for bit to
 the float64-array formulas written out below, on states that include the
 walls, the grasp and success radii within one ulp, held objects and any step
-counter. The reference planner decodes the rendered observation, so ``plan``
-from the env state is checked to lose nothing against it. ``plan`` writes the
-expert and the step out on local floats; it is also held to the loop of
-``expert_action`` and ``transition`` calls it replaced, fixed-point padding
-included. The trace's state hash, which formats the floats itself, is held to
-the repr of the state's lists.
+counter. Their distance is ``np.linalg.norm`` as OpenBLAS's ``SkylakeX``
+kernel computes it, ``fma(y, y, x*x)`` then the square root, written exactly
+with fractions so that it holds under every BLAS kernel; ``squared_distance``
+is held to it. The reference planner decodes the rendered observation, so
+``plan`` from the env state is checked to lose nothing against it.
+``nominal_rollout``, the expert's one definition, writes the expert and the
+step out on local floats; ``plan`` is also held to the loop of
+``expert_action`` and ``transition`` calls, fixed-point padding included. The
+trace's state hash, which formats the floats itself, is held to the repr of
+the state's lists.
 The env draws through ``Generator.random``, in blocks; it is held state for
 state to the one-at-a-time ``uniform()`` draws it replaced, the initial-state
 sampler included.
@@ -17,6 +21,7 @@ sampler included.
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +32,7 @@ from specverify.controller import _state_hash
 from specverify.env import (GRIPPER_HOLDING, GRIPPER_OPEN, DisturbanceConfig,
                             EnvState, EpisodeConfig, Geometry, ToyEnv, _excess,
                             expert_action, is_success, render_observations,
-                            transition)
+                            squared_distance, transition)
 from specverify.planner import NominalRolloutPlanner
 
 GEOM = Geometry()
@@ -36,8 +41,19 @@ GEOM = Geometry()
 # -- the array formulas; a state is (agent, object, goal, gripper) -----------
 
 
+def exact_squared_norm(x, y) -> float:
+    """``fma(y, y, x*x)``: ``x*x`` rounded, ``y*y`` exact, their sum rounded once."""
+    return float(Fraction(x * x) + Fraction(y) ** 2)
+
+
+def norm(v) -> float:
+    """``np.linalg.norm`` of a 2-vector, ``sqrt(v.dot(v))``, with the ``ddot``
+    of the ``SkylakeX`` kernel, on any kernel."""
+    return math.sqrt(exact_squared_norm(float(v[0]), float(v[1])))
+
+
 def np_is_success(agent, obj, goal, gripper):
-    dist = float(np.linalg.norm(obj - goal))
+    dist = norm(obj - goal)
     return dist <= GEOM.success_radius and gripper == GRIPPER_OPEN
 
 
@@ -46,14 +62,14 @@ def np_expert_action(agent, obj, goal, gripper):
     bound = GEOM.step_bound
     if gripper == GRIPPER_HOLDING:
         delta = goal - agent
-        if float(np.linalg.norm(delta)) <= GEOM.success_radius:
+        if norm(delta) <= GEOM.success_radius:
             return space.clamp([0.0, 0.0, 1.0])
         move = np.clip(delta, -bound, bound)
         return space.clamp([move[0], move[1], 0.0])
     if np_is_success(agent, obj, goal, gripper):
         return space.clamp([0.0, 0.0, 0.0])
     delta = obj - agent
-    if float(np.linalg.norm(delta)) <= GEOM.grasp_radius:
+    if norm(delta) <= GEOM.grasp_radius:
         return space.clamp([0.0, 0.0, 1.0])
     move = np.clip(delta, -bound, bound)
     return space.clamp([move[0], move[1], 0.0])
@@ -68,7 +84,7 @@ def np_transition(agent, obj, goal, gripper, action, noise=None, grasp_ok=None, 
     if grasp > 0.5:
         if gripper == GRIPPER_HOLDING:
             gripper = GRIPPER_OPEN
-        elif (float(np.linalg.norm(agent - obj)) <= GEOM.grasp_radius
+        elif (norm(agent - obj) <= GEOM.grasp_radius
               and (grasp_ok is None or grasp_ok())):
             gripper = GRIPPER_HOLDING
             obj = agent.copy()
@@ -87,7 +103,7 @@ def np_plan(obs, goal, chunk_size, context_width):
         end = np_transition(*end, a)
     base = np.concatenate([
         start[2], start[1], start[0], [float(start[3])], end[0], [float(end[3])],
-        [float(np_is_success(*end)), float(np.linalg.norm(end[1] - end[2]))],
+        [float(np_is_success(*end)), norm(end[1] - end[2])],
     ])
     context = np.zeros(context_width)
     context[:base.size] = base
@@ -249,6 +265,21 @@ def test_plan_matches_the_step_loop(state, chunk_size, max_len):
     assert out.context.tobytes() == context.tobytes()
 
 
+#: Magnitudes where ``dy*dy`` neither underflows nor nears overflow.
+magnitudes = st.floats(-1e140, 1e140).filter(lambda v: v == 0.0 or abs(v) > 1e-140)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(magnitudes, magnitudes)
+# at the grasp radius, where the plain sum's square root is 0.08 and the fused one's is not
+@example(0.07353699715168537, -0.03150095315880172)
+def test_squared_distance_is_one_fused_rounding(x, y):
+    """``squared_distance`` is ``fma(y, y, x*x)``, the fraction's sum rounded once."""
+    got = squared_distance(x, y)
+    assert got == exact_squared_norm(x, y)
+    assert math.copysign(1.0, got) == 1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(env_states())
 @example(EnvState(agent_pos=(-0.0, GEOM.world_size), object_pos=(-0.0, GEOM.world_size),
@@ -263,9 +294,9 @@ def test_state_hash_is_sha1_of_state_repr(state):
 
 
 def test_radius_edge_matches_numpy_norm():
-    """Within an ulp of a radius, where a scalar norm and numpy's disagree on
-    about one draw in 200, the grasp and success tests still agree with
-    ``np.linalg.norm``."""
+    """Within an ulp of a radius, where ``sqrt(x*x + y*y)`` and numpy's norm
+    disagree on about one draw in 200, the grasp and success tests still agree
+    with ``np.linalg.norm`` as ``SkylakeX`` computes it (``norm`` above)."""
     rng = np.random.default_rng(0)
     for radius in (GEOM.grasp_radius, GEOM.success_radius):
         rs = np.array([math.nextafter(radius, 0.0), radius, math.nextafter(radius, math.inf)])
@@ -300,11 +331,11 @@ def np_initial_state(rng, world_size, points=None):
     agent = draw()
     while True:
         obj = draw()
-        if np.linalg.norm(obj - agent) >= 0.6:
+        if norm(obj - agent) >= 0.6:
             break
     while True:
         goal = draw()
-        if np.linalg.norm(goal - obj) >= 0.7:
+        if norm(goal - obj) >= 0.7:
             break
     return agent, obj, goal, GRIPPER_OPEN
 
@@ -393,12 +424,13 @@ def test_initial_state_matches_uniform(world_size):
 
 def test_rejection_edge_matches_numpy_norm():
     """The initial state's separation tests, ``norm >= 0.6`` and ``>= 0.7``,
-    agree with ``np.linalg.norm`` within an ulp of the separation."""
+    agree with ``np.linalg.norm`` as ``SkylakeX`` computes it within an ulp of
+    the separation."""
     rng = np.random.default_rng(1)
     for separation in (0.6, 0.7):
         rs = [math.nextafter(separation, 0.0), separation, math.nextafter(separation, math.inf)]
         for _ in range(5000):
             r, angle = float(rng.choice(rs)), rng.uniform(0.0, 2.0 * math.pi)
             dx, dy = r * math.cos(angle), r * math.sin(angle)
-            want = float(np.linalg.norm(np.array([dx, dy]))) >= separation
+            want = norm((dx, dy)) >= separation
             assert (_excess(dx, dy, separation) >= 0.0) == want

@@ -181,6 +181,23 @@ class TestDataset:
                                      boundaries="first")
         assert len(samples) == 3
 
+    @pytest.mark.parametrize("k", (1, 4, 16))
+    def test_first_boundary_plans_once_per_episode(self, geometry, k):
+        """With boundaries="first" the collection stops at each episode's
+        first chunk: one plan per episode, and none at K=1, which requests
+        nothing."""
+        calls = []
+
+        class CountingPlanner(NominalRolloutPlanner):
+            def plan(self, state, max_len=None):
+                calls.append(state)
+                return super().plan(state, max_len)
+
+        cfg = EpisodeConfig(geometry=geometry, disturbance=DisturbanceConfig.moderate())
+        build_training_set(cfg, CountingPlanner(geometry, k), episodes=30, seed=0,
+                           boundaries="first")
+        assert len(calls) == (30 if k > 1 else 0)
+
     def test_stops_at_success(self, geometry):
         """Clean episodes need at most ~15 steps, so the per-episode sample
         count stays far below the horizon."""
